@@ -18,9 +18,10 @@ from .simulate import (SimConfig, SimTruth, config_from_file, config_to_file,
                        simulate_latent, simulate_observed,
                        stationary_variance_draw)
 from .stationarity import (TestReport, block_diff_mean_sq, block_test,
-                           default_window, edge_test, nonoverlap_mean_sq,
-                           overlap_mean_sq, p_value, run_test, window_contrast,
-                           window_test, window_test_nonoverlap)
+                           default_window, edge_test, log_p_value,
+                           nonoverlap_mean_sq, overlap_mean_sq, p_value,
+                           run_test, window_contrast, window_test,
+                           window_test_nonoverlap)
 from .ticks import TickSeries, load_csv, validate, write_csv
 
 __version__ = "0.1.0"

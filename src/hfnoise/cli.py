@@ -85,12 +85,14 @@ def cmd_test(args) -> int:
             raise InvalidConfig(f"unknown test kind {kind!r}")
         rep = run_test(series, kind, K=args.K, window=args.s)
         rows.append(rep)
-    header = f"{'kind':8}{'K':>8}{'s':>6}{'statistic':>16}{'p_value':>14}  degenerate"
+    header = (f"{'kind':8}{'K':>8}{'s':>6}{'statistic':>16}{'p_value':>14}"
+              f"{'log_p':>14}  degenerate")
     print(header)
     for rep in rows:
         s = "" if rep.s is None else str(rep.s)
         print(f"{rep.kind:8}{rep.K:>8}{s:>6}{rep.statistic:>16.6g}"
-              f"{rep.p_value:>14.6g}  {str(rep.degenerate).lower()}")
+              f"{rep.p_value:>14.6g}{rep.log_p:>14.6g}  "
+              f"{str(rep.degenerate).lower()}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("kind,K,s,n,statistic,p_value,degenerate\n")

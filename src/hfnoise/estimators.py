@@ -227,8 +227,9 @@ def noise_moments(series: TickSeries) -> NoiseMoments:
     n = series.n
     if n < 4:
         raise InvalidIndices(f"noise moments need n >= 4, got n={n}")
-    R = _rv(series.prices)
-    Q = _quarticity(series.prices)
+    d2 = np.diff(series.prices) ** 2
+    R = csum(d2)
+    Q = csum(d2 * d2)
     m2 = R / (2.0 * n)
     q4 = Q / (2.0 * n) - 3.0 * R * R / (4.0 * n * n)
     rad = (6.0 * Q * Q / n**2

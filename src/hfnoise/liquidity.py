@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import block_sums, csum
+from ._accum import block_sums, csum, window_sums
 from .errors import InvalidK, InvalidWindow
 from .stationarity import block_diff_mean_sq
 from .ticks import TickSeries
@@ -91,10 +91,8 @@ def noise_qv_stderr(series: TickSeries, K: int, span: int):
     rv_b = block_sums(d2, K)
     q_b = block_sums(d2 * d2, K)
 
-    sq_steps = np.diff(rv_b) ** 2
-    csq = np.concatenate(([0.0], np.cumsum(sq_steps)))
     # windows i = 1..r-span of the sum of `span` consecutive squared steps
-    win = csq[span:r] - csq[:r - span]
+    win = window_sums(np.diff(rv_b) ** 2, span)
     term1 = 27.0 / (128.0 * span * span * K**4) * csum(win * win)
 
     per_block = (4.0 / K**2 * q_b * q_b

@@ -44,7 +44,7 @@ from .ticks import DAYS_PER_YEAR, SECONDS_PER_DAY, SECONDS_PER_YEAR, TickSeries
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency
+except ImportError:  # numba is the optional `fast` extra
     def njit(*args, **kwargs):
         def wrap(fn):
             return fn

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from ._accum import block_sums, csum
+from ._accum import block_sums, csum, window_sums
 from .errors import InvalidK, InvalidWindow, NonFiniteStatistic, WindowOutOfRange
 from .estimators import _scale_diff, noise_moments
 from .ticks import TickSeries
@@ -41,6 +41,8 @@ class TestReport:
     s: int | None = None
     degenerate: bool = False
     intermediates: dict = field(default_factory=dict)
+    # natural log of p_value; stays finite where p_value underflows to 0.0
+    log_p: float = 0.0
 
 
 def p_value(statistic: float) -> float:
@@ -51,9 +53,27 @@ def p_value(statistic: float) -> float:
     NonFiniteStatistic
         If ``statistic`` is NaN or infinite.
     """
+    _check_finite(statistic)
+    return float(norm.sf(statistic))
+
+
+def log_p_value(statistic: float) -> float:
+    """Natural log of :func:`p_value`, finite for every finite statistic,
+    so strong rejections stay ordered after ``p_value`` underflows to 0.0
+    (above about 37.5).
+
+    Raises
+    ------
+    NonFiniteStatistic
+        If ``statistic`` is NaN or infinite.
+    """
+    _check_finite(statistic)
+    return float(norm.logsf(statistic))
+
+
+def _check_finite(statistic: float):
     if not math.isfinite(statistic):
         raise NonFiniteStatistic(f"statistic must be finite, got {statistic}")
-    return float(norm.sf(statistic))
 
 
 def default_window(n: int, K: int) -> int:
@@ -107,11 +127,20 @@ def window_contrast(series: TickSeries, K: int, start_block: int,
 
 def _window_contrasts(prices: np.ndarray, K: int, window: int,
                       starts) -> np.ndarray:
-    rt = math.sqrt(K)
-    out = np.empty(len(starts))
-    for j, b in enumerate(starts):
-        out[j] = rt * _scale_diff(prices[b * K:(b + window) * K + 1], K)
-    return out
+    # sqrt(K) * _scale_diff on each window of `window` blocks, in closed
+    # form from exact block sums: with d2 the squared increments, head the
+    # RV of the window's first block, tail the RV of its last block less
+    # that block's first d2, and RV_w the sum of the window's block RVs,
+    # scale_diff = (1/2 (d2_0 + head + tail) - (K-1) RV_w / (window K)) / K.
+    d2 = np.diff(prices) ** 2
+    rv = block_sums(d2, K)
+    first = d2[:len(rv) * K:K]
+    starts = np.asarray(starts, dtype=np.intp)
+    last = starts + window - 1
+    edges = block_sums(np.column_stack((first[starts], rv[starts], rv[last],
+                                        -first[last])).ravel(), 4)
+    rv_w = window_sums(rv, window)[starts]
+    return math.sqrt(K) * (0.5 * edges - (K - 1) / (window * K) * rv_w) / K
 
 
 def overlap_mean_sq(series: TickSeries, K: int, window: int) -> float:
@@ -162,7 +191,8 @@ def _report(kind, stat_num, denom, K, n, s, inter) -> TestReport:
                           s=s, degenerate=True, intermediates=inter)
     stat = stat_num / denom
     return TestReport(statistic=stat, p_value=p_value(stat), kind=kind,
-                      K=K, n=n, s=s, degenerate=False, intermediates=inter)
+                      K=K, n=n, s=s, degenerate=False, intermediates=inter,
+                      log_p=log_p_value(stat))
 
 
 def edge_test(series: TickSeries, K: int | None = None) -> TestReport:

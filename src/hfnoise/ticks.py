@@ -85,6 +85,8 @@ def _parse_rows(lines):
     rows = []
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")  # UTF-8 byte-order mark
         line = raw.strip()
         if not line:
             continue

@@ -1,0 +1,79 @@
+"""Slow reference implementations kept as oracles for the fast paths.
+
+``fsum_block_sums`` and ``slice_window_contrasts`` are the summation
+layer and the window statistic as they were before the exact vectorized
+accumulator: every sum is ``math.fsum`` over a list, and every window is
+re-sliced and re-summed.
+"""
+
+import math
+
+import numpy as np
+
+
+def fsum_block_sums(values, size):
+    """``math.fsum`` of each consecutive length-``size`` slice."""
+    r = len(values) // size
+    data = values.tolist()
+    return np.array(
+        [math.fsum(data[i * size:(i + 1) * size]) for i in range(r)])
+
+
+def fsum_window_sums(values, width):
+    """``math.fsum`` of every run of ``width`` consecutive values."""
+    data = values.tolist()
+    return np.array([math.fsum(data[i:i + width])
+                     for i in range(len(data) - width + 1)])
+
+
+def scale_diff(prices, K):
+    """``wtsrv - tsrv`` as ``(n-K+1)/(nK) RV - modified_rv / K``."""
+    n = len(prices) - 1
+    d2 = (np.diff(prices) ** 2).tolist()
+    modified = 0.5 * (math.fsum(d2[1:n - K + 1]) + math.fsum(d2[K:n]))
+    return (n - K + 1) / (n * K) * math.fsum(d2) - modified / K
+
+
+def slice_window_contrasts(prices, K, window, starts):
+    """``sqrt(K) * scale_diff`` on each window, re-indexed as its own
+    series."""
+    rt = math.sqrt(K)
+    out = np.empty(len(starts))
+    for j, b in enumerate(starts):
+        out[j] = rt * scale_diff(prices[b * K:(b + window) * K + 1], K)
+    return out
+
+
+def overlap_mean_sq(series, K, window):
+    cnt = series.n // K - window + 1
+    devs = slice_window_contrasts(series.prices, K, window, range(cnt))
+    return math.fsum((devs * devs).tolist()) / cnt
+
+
+def nonoverlap_mean_sq(series, K, window):
+    cnt = series.n // (window * K)
+    starts = [i * window for i in range(cnt)]
+    devs = slice_window_contrasts(series.prices, K, window, starts)
+    return math.fsum((devs * devs).tolist()) / cnt
+
+
+def block_diff_mean_sq(series, K):
+    rv = fsum_block_sums(np.diff(series.prices) ** 2, K)
+    steps = np.diff(rv)
+    return math.fsum((steps * steps).tolist()) / (4.0 * series.n)
+
+
+def noise_qv_stderr(series, K, span):
+    """The liquidity standard-error proxy with every window of ``span``
+    squared block-RV steps summed by ``math.fsum``."""
+    d2 = np.diff(series.prices) ** 2
+    rv_b = fsum_block_sums(d2, K)
+    q_b = fsum_block_sums(d2 * d2, K)
+    win = fsum_window_sums(np.diff(rv_b) ** 2, span)
+    term1 = (27.0 / (128.0 * span * span * K**4)
+             * math.fsum((win * win).tolist()))
+    per_block = (4.0 / K**2 * q_b * q_b
+                 - 14.0 / K**3 * q_b * rv_b * rv_b
+                 + 13.0 / K**4 * rv_b**4)
+    term2 = 27.0 / (8.0 * K * K) * math.fsum(per_block.tolist())
+    return math.sqrt(max(term1 + term2, 0.0))

@@ -121,6 +121,8 @@ class TestCli:
         assert code == 0
         shown = capsys.readouterr().out
         assert "N" in shown and "Vbar" in shown
+        header = next(l for l in shown.splitlines() if l.startswith("kind"))
+        assert header.split()[5] == "log_p"
         rows = open(out_csv).read().splitlines()
         assert rows[0] == "kind,K,s,n,statistic,p_value,degenerate"
         assert len(rows) == 3

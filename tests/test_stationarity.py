@@ -1,14 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hfnoise import (InvalidK, InvalidWindow, NonFiniteStatistic,
                      WindowOutOfRange, block_diff_mean_sq, block_test,
-                     default_window, edge_test, nonoverlap_mean_sq,
-                     overlap_mean_sq, p_value, run_test, tsrv,
-                     window_contrast, window_test, window_test_nonoverlap,
-                     wtsrv)
+                     default_window, edge_test, log_p_value,
+                     nonoverlap_mean_sq, overlap_mean_sq, p_value, run_test,
+                     tsrv, window_contrast, window_test,
+                     window_test_nonoverlap, wtsrv)
 
 from conftest import make_series, noise_series
 
@@ -27,7 +28,25 @@ class TestPValue:
             want = 0.5 * math.erfc(x / math.sqrt(2.0))
             assert p_value(x) == pytest.approx(want, abs=1e-12)
 
+    def test_log_p_past_underflow(self):
+        # p_value underflows to 0.0 above z ~ 37.5; log_p keeps the order
+        assert p_value(40.0) == 0.0
+        lp40, lp500 = log_p_value(40.0), log_p_value(500.0)
+        assert math.isfinite(lp40) and math.isfinite(lp500)
+        assert lp500 < lp40 < math.log(sys.float_info.min)
+        # Mills ratio: log Phi(-z) ~ -z^2/2 - log(z sqrt(2 pi))
+        for z in (40.0, 500.0):
+            approx = -z * z / 2 - math.log(z * math.sqrt(2 * math.pi))
+            assert log_p_value(z) == pytest.approx(approx, rel=1e-3)
+        assert log_p_value(1.5) == pytest.approx(math.log(p_value(1.5)))
+
+    def test_report_carries_log_p(self):
+        rep = edge_test(noise_series(4000, seed=3))
+        assert rep.log_p == pytest.approx(math.log(rep.p_value), abs=1e-12)
+
     def test_non_finite(self):
+        with pytest.raises(NonFiniteStatistic):
+            log_p_value(float("inf"))
         with pytest.raises(NonFiniteStatistic):
             p_value(float("nan"))
         with pytest.raises(NonFiniteStatistic):

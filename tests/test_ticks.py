@@ -28,6 +28,21 @@ class TestLoadCsv:
         assert s.times.tolist() == [0.0, 1.0, 2.0]
         assert s.prices.tolist() == [1.0, 2.0, 3.0]
 
+    def test_utf8_bom_and_crlf(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("time,price\r\n0.0,1.0\r\n1.0,2.0\r\n"
+                         .encode("utf-8-sig"))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        s = load_csv(path)
+        assert s.times.tolist() == [0.0, 1.0]
+        assert s.prices.tolist() == [1.0, 2.0]
+        assert load_csv(path.read_bytes()).prices.tolist() == [1.0, 2.0]
+
+    def test_bom_after_line_one_is_rejected(self):
+        with pytest.raises(MalformedRow) as err:
+            load_csv("time,price\n\ufeff0.0,1.0\n1.0,2.0")
+        assert err.value.line_number == 2
+
     def test_malformed_row_reports_line(self):
         with pytest.raises(MalformedRow) as err:
             load_csv("time,price\n0.0,1.0\nbogus\n2.0,3.0")
