@@ -7,11 +7,12 @@ diffusion the simulator exports, so the estimate has a known target.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from hfnoise import SimConfig, liquidity_report, simulate_observed
-from hfnoise.simulate import STEPS_PER_DAY, with_seed
+from hfnoise.simulate import STEPS_PER_DAY
 
 DAYS = 10
 T = DAYS / 252.0
@@ -25,7 +26,7 @@ cfg = SimConfig(noise_kind="custom_g", days=DAYS, sampling="regular",
                 lambda_x=0, lambda_v=0, g0=theta, g_theta=theta,
                 g_kappa=kappa_g, g_vol=vol_g, g_floor=5e-7)
 
-series, truth = simulate_observed(with_seed(cfg, 403))
+series, truth = simulate_observed(replace(cfg, seed=403))
 rep = liquidity_report(series)
 
 print(f"{DAYS} days of one-second ticks, n = {series.n}")
@@ -40,7 +41,7 @@ print(f"interval covers truth:   {rep.ci_low <= truth.gg <= rep.ci_high}")
 print("\nsmall replication (20 paths):")
 hits, errs = 0, []
 for i in range(20):
-    s, t = simulate_observed(with_seed(cfg, 500 + i))
+    s, t = simulate_observed(replace(cfg, seed=500 + i))
     r = liquidity_report(s)
     hits += r.ci_low <= t.gg <= r.ci_high
     errs.append(abs(r.gg_hat / t.gg - 1))

@@ -95,12 +95,12 @@ def cmd_test(args) -> int:
               f"{str(rep.degenerate).lower()}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("kind,K,s,n,statistic,p_value,degenerate\n")
+            fh.write("kind,K,s,n,statistic,p_value,degenerate,log_p\n")
             for rep in rows:
                 s = "" if rep.s is None else rep.s
                 fh.write(f"{rep.kind},{rep.K},{s},{rep.n},"
                          f"{_fmt(rep.statistic)},{_fmt(rep.p_value)},"
-                         f"{int(rep.degenerate)}\n")
+                         f"{int(rep.degenerate)},{_fmt(rep.log_p)}\n")
     return 0
 
 

@@ -7,6 +7,7 @@ order.  Reps may run in a process pool; the worker count never changes
 any emitted number.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -105,8 +106,10 @@ def run_study(spec: StudySpec) -> StudyResult:
     payloads = [(config, spec.base_seed ^ i, tuple(spec.tests), spec.K,
                  spec.window, spec.k_scale) for i in range(spec.reps)]
     if spec.threads > 1:
+        # about four chunks per worker, so that short studies still spread
+        chunk = max(1, math.ceil(spec.reps / (4 * spec.threads)))
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(_run_rep, payloads, chunksize=8))
+            rows = list(pool.map(_run_rep, payloads, chunksize=chunk))
     else:
         rows = [_run_rep(p) for p in payloads]
 

@@ -33,22 +33,14 @@ output is reproducible bit for bit.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.signal import lfilter
 
-from ._accum import csum
+from ._accum import CHUNK, csum
 from .errors import InvalidConfig, InvalidU
 from .ticks import DAYS_PER_YEAR, SECONDS_PER_DAY, SECONDS_PER_YEAR, TickSeries
-
-try:
-    from numba import njit
-except ImportError:  # numba is the optional `fast` extra
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
 
 STEPS_PER_DAY = int(SECONDS_PER_DAY)
 DT_YEARS = 1.0 / SECONDS_PER_YEAR
@@ -140,43 +132,80 @@ class SimTruth:
     v_jump_sizes: np.ndarray
 
 
-@njit(cache=True)
 def _euler_kernel(x0, s20, mu, kappa, sbar2, delta, dt, floor,
                   zw, zb, jump_x, jump_v):
-    n = zw.shape[0]
+    """Euler steps of the price and the reflected square-root variance.
+
+    Step ``i`` is ``x[i+1] = x[i] + mu dt + s sqrt(dt) zw[i] + jump_x[i]``
+    and ``s2[i+1] = s2[i] + kappa (sbar2 - s2[i]) dt
+    + delta s sqrt(dt) zb[i] + s jump_v[i]``, reflected at ``floor``, with
+    ``s = sqrt(s2[i])``.  The variance recursion runs over Python floats in
+    slices of ``CHUNK`` steps and adds the jump term only where there is a
+    jump (``s * 0.0`` leaves the sum as it is).  Each slice of the price
+    path is one ``np.cumsum`` over the interleaved terms ``x[a], mu dt,
+    diffusion, jump, mu dt, ...``: ``add.accumulate`` adds in order, so
+    every third partial sum is the sequential step bit for bit.
+    """
+    n = len(zw)
+    sqrt = math.sqrt
+    sdt = sqrt(dt)
     x = np.empty(n + 1)
     s2 = np.empty(n + 1)
     x[0] = x0
-    s2[0] = s20
-    sdt = math.sqrt(dt)
-    for i in range(n):
-        s = math.sqrt(s2[i])
-        x[i + 1] = x[i] + mu * dt + s * sdt * zw[i] + jump_x[i]
-        v = s2[i] + kappa * (sbar2 - s2[i]) * dt + delta * s * sdt * zb[i] \
-            + s * jump_v[i]
-        if v < floor:
-            v = 2.0 * floor - v
-        s2[i + 1] = v
+    s2[0] = v = s20
+    for a in range(0, n, CHUNK):
+        b = min(a + CHUNK, n)
+        out = []
+        append = out.append
+        for z, j in zip(zb[a:b].tolist(), jump_v[a:b].tolist()):
+            s = sqrt(v)
+            v = v + kappa * (sbar2 - v) * dt + delta * s * sdt * z
+            if j:
+                v += s * j
+            if v < floor:
+                v = 2.0 * floor - v
+            append(v)
+        s2[a + 1:b + 1] = out
+        terms = np.empty(3 * (b - a) + 1)
+        terms[0] = x[a]
+        terms[1::3] = mu * dt
+        terms[2::3] = np.sqrt(s2[a:b]) * sdt * zw[a:b]
+        terms[3::3] = jump_x[a:b]
+        x[a + 1:b + 1] = np.cumsum(terms)[3::3]
     return x, s2
 
 
-@njit(cache=True)
 def _ou_kernel(g0, kappa, theta, vol, floor, dts, z):
-    n = z.shape[0]
+    """Exact Ornstein-Uhlenbeck steps over the spacings ``dts``, reflected
+    at ``floor``: ``g[i+1] = theta + phi (g[i] - theta) + sd z[i]`` with
+    ``phi = exp(-kappa dt)`` and ``sd = vol sqrt((1 - phi^2) / (2 kappa))``
+    (``phi = 1``, ``sd = vol sqrt(dt)`` when ``kappa <= 0``).
+
+    ``phi`` and ``sd`` are vectorized per slice of ``CHUNK`` steps, with
+    one ``math.exp`` per distinct spacing (regular sampling repeats one);
+    the recursion runs over Python floats.
+    """
+    n = len(z)
+    exp = math.exp
     g = np.empty(n + 1)
-    g[0] = g0
-    for i in range(n):
-        dt = dts[i]
+    g[0] = v = g0
+    for a in range(0, n, CHUNK):
+        b = min(a + CHUNK, n)
         if kappa > 0.0:
-            phi = math.exp(-kappa * dt)
-            sd = vol * math.sqrt((1.0 - phi * phi) / (2.0 * kappa))
+            u, inv = np.unique(-kappa * dts[a:b], return_inverse=True)
+            phi = np.array([exp(t) for t in u.tolist()])[inv]
+            sd = vol * np.sqrt((1.0 - phi * phi) / (2.0 * kappa))
         else:
-            phi = 1.0
-            sd = vol * math.sqrt(dt)
-        v = theta + phi * (g[i] - theta) + sd * z[i]
-        if v < floor:
-            v = 2.0 * floor - v
-        g[i + 1] = v
+            phi = np.ones(b - a)
+            sd = vol * np.sqrt(dts[a:b])
+        out = []
+        append = out.append
+        for p, e in zip(phi.tolist(), (sd * z[a:b]).tolist()):
+            v = theta + p * (v - theta) + e
+            if v < floor:
+                v = 2.0 * floor - v
+            append(v)
+        g[a + 1:b + 1] = out
     return g
 
 
@@ -466,8 +495,3 @@ def config_to_file(config: SimConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in fields(SimConfig):
             fh.write(f"{f.name}={getattr(config, f.name)}\n")
-
-
-def with_seed(config: SimConfig, seed: int) -> SimConfig:
-    """Copy of ``config`` with a different seed."""
-    return replace(config, seed=seed)

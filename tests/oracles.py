@@ -3,7 +3,9 @@
 ``fsum_block_sums`` and ``slice_window_contrasts`` are the summation
 layer and the window statistic as they were before the exact vectorized
 accumulator: every sum is ``math.fsum`` over a list, and every window is
-re-sliced and re-summed.
+re-sliced and re-summed.  ``euler_kernel`` and ``ou_kernel`` are the
+simulator's path recursions as one scalar step per array element; the
+sliced kernels in ``hfnoise.simulate`` must match them bit for bit.
 """
 
 import math
@@ -77,3 +79,41 @@ def noise_qv_stderr(series, K, span):
                  + 13.0 / K**4 * rv_b**4)
     term2 = 27.0 / (8.0 * K * K) * math.fsum(per_block.tolist())
     return math.sqrt(max(term1 + term2, 0.0))
+
+
+def euler_kernel(x0, s20, mu, kappa, sbar2, delta, dt, floor,
+                 zw, zb, jump_x, jump_v):
+    n = zw.shape[0]
+    x = np.empty(n + 1)
+    s2 = np.empty(n + 1)
+    x[0] = x0
+    s2[0] = s20
+    sdt = math.sqrt(dt)
+    for i in range(n):
+        s = math.sqrt(s2[i])
+        x[i + 1] = x[i] + mu * dt + s * sdt * zw[i] + jump_x[i]
+        v = s2[i] + kappa * (sbar2 - s2[i]) * dt + delta * s * sdt * zb[i] \
+            + s * jump_v[i]
+        if v < floor:
+            v = 2.0 * floor - v
+        s2[i + 1] = v
+    return x, s2
+
+
+def ou_kernel(g0, kappa, theta, vol, floor, dts, z):
+    n = z.shape[0]
+    g = np.empty(n + 1)
+    g[0] = g0
+    for i in range(n):
+        dt = dts[i]
+        if kappa > 0.0:
+            phi = math.exp(-kappa * dt)
+            sd = vol * math.sqrt((1.0 - phi * phi) / (2.0 * kappa))
+        else:
+            phi = 1.0
+            sd = vol * math.sqrt(dt)
+        v = theta + phi * (g[i] - theta) + sd * z[i]
+        if v < floor:
+            v = 2.0 * floor - v
+        g[i + 1] = v
+    return g

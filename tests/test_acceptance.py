@@ -6,6 +6,7 @@ shared across criteria through module-scoped fixtures.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hfnoise import (SimConfig, StudySpec, TickSeries, avg_rv,
 from hfnoise.estimators import noise_moments
 from hfnoise.mc import roc_points
 from hfnoise.regress import fit_blocks
-from hfnoise.simulate import STEPS_PER_DAY, with_seed
+from hfnoise.simulate import STEPS_PER_DAY
 from hfnoise.stationarity import block_diff_mean_sq
 
 from conftest import make_series, noise_series
@@ -202,7 +203,7 @@ def test_criterion_09_liquidity_estimator():
     rels = np.empty(200)
     cover = np.empty(200, dtype=bool)
     for i in range(200):
-        series, truth = simulate_observed(with_seed(cfg, 2000 + i))
+        series, truth = simulate_observed(replace(cfg, seed=2000 + i))
         rep = liquidity_report(series, K=K)
         rels[i] = rep.gg_hat / truth.gg - 1.0
         cover[i] = rep.ci_low <= truth.gg <= rep.ci_high
@@ -221,7 +222,7 @@ def test_criterion_10_regression_consistency():
                     g_beta=beta, g_alpha=0.5 * A0**2)
     slopes = np.empty(100)
     for i in range(100):
-        series, _ = simulate_observed(with_seed(cfg, 5000 + i))
+        series, _ = simulate_observed(replace(cfg, seed=5000 + i))
         slopes[i] = fit_blocks(series, STEPS_PER_DAY).beta_hat
     err = float(np.mean(slopes)) / beta - 1.0
     ok = abs(err) <= 0.25

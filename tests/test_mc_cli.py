@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hfnoise import InvalidConfig, SimConfig, StudySpec, load_csv
+from hfnoise import (InvalidConfig, SimConfig, StudySpec, TickSeries,
+                     load_csv, mc, write_csv)
 from hfnoise.cli import main
 from hfnoise.mc import (ROC_LEVELS, density_table, roc_points, run_paired_roc,
                         run_study, scenario_config)
@@ -54,6 +55,30 @@ class TestRunStudy:
         assert np.array_equal(a.stats["N"], b.stats["N"])
         assert np.array_equal(a.pvals["N"], b.pvals["N"])
         assert np.array_equal(a.wtsrv, b.wtsrv)
+
+    @pytest.mark.parametrize("reps,threads,chunk", ((4, 2, 1), (40, 2, 5)))
+    def test_pool_chunks_from_reps_and_threads(self, monkeypatch, reps,
+                                               threads, chunk):
+        seen = {}
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                seen["chunksize"] = chunksize
+                return map(fn, items)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Pool)
+        r = run_study(fast_spec(reps=reps, threads=threads))
+        assert seen == {"workers": threads, "chunksize": chunk}
+        assert len(r.stats["N"]) == reps
 
     def test_rejection_rate(self):
         r = run_study(fast_spec(reps=4))
@@ -124,8 +149,27 @@ class TestCli:
         header = next(l for l in shown.splitlines() if l.startswith("kind"))
         assert header.split()[5] == "log_p"
         rows = open(out_csv).read().splitlines()
-        assert rows[0] == "kind,K,s,n,statistic,p_value,degenerate"
+        assert rows[0] == "kind,K,s,n,statistic,p_value,degenerate,log_p"
         assert len(rows) == 3
+
+    def test_test_csv_log_p_where_p_underflows(self, tmp_path):
+        # a strong U-curve in the noise level: the N statistic is past 38,
+        # where p_value underflows to 0 and only log_p ranks the rejection
+        n = 50000
+        u = np.arange(n + 1) / n
+        rng = np.random.default_rng(0)
+        prices = 4.6 + 1e-3 * (1 + 40 * (u - 0.5) ** 2) \
+            * rng.standard_normal(n + 1)
+        src = str(tmp_path / "u.csv")
+        write_csv(TickSeries(u / 252.0, prices), src)
+        out_csv = str(tmp_path / "rep.csv")
+        assert self.run("--out", out_csv, "test", "--input", src,
+                        "--tests", "N") == 0
+        header, row = open(out_csv).read().splitlines()
+        assert header.split(",")[-1] == "log_p"
+        fields = row.split(",")
+        assert float(fields[5]) == 0.0
+        assert np.isfinite(float(fields[-1])) and float(fields[-1]) < -700
 
     def test_test_command_power_smoke(self, tmp_path):
         # U-curve day at one-second sampling: the edge test rejects

@@ -6,10 +6,15 @@ from scipy.special import gammaln
 from scipy.stats import expon, kstest
 
 from hfnoise import (InvalidConfig, InvalidU, SimConfig, fractional_ma_coeffs,
-                     make_noise, observe, sample_times, simulate_latent,
-                     simulate_observed, stationary_variance_draw)
-from hfnoise.simulate import DT_YEARS, STEPS_PER_DAY, _poisson_jumps
-from hfnoise.ticks import SECONDS_PER_DAY
+                     make_noise, observe, sample_times, simulate,
+                     simulate_latent, simulate_observed,
+                     stationary_variance_draw)
+from hfnoise._accum import CHUNK
+from hfnoise.simulate import (DT_YEARS, STEPS_PER_DAY, _euler_kernel,
+                              _ou_kernel, _poisson_jumps)
+from hfnoise.ticks import SECONDS_PER_DAY, SECONDS_PER_YEAR
+
+import oracles
 
 
 class TestConfig:
@@ -284,3 +289,93 @@ class TestSimulateObserved:
         assert len(truth.x_jump_times) > 0
         assert truth.qv == pytest.approx(
             truth.iv + float(np.sum(truth.x_jump_sizes**2)), rel=1e-12)
+
+
+LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+def _euler_inputs(n, seed):
+    """Normal draws plus price and variance jumps at step 0, the last step
+    and both sides of each slice boundary, with two jumps on one step."""
+    rng = np.random.default_rng(seed)
+    zw = rng.standard_normal(n)
+    zb = -0.6 * zw + 0.8 * rng.standard_normal(n)
+    steps = [s for s in (0, n - 1, CHUNK - 1, CHUNK, 2 * CHUNK - 1,
+                         2 * CHUNK) if s < n]
+    steps += steps[:1]
+    jump_x = np.zeros(n)
+    np.add.at(jump_x, steps, rng.normal(0.0016, 0.06, len(steps)))
+    jump_v = np.zeros(n)
+    np.add.at(jump_v, steps, np.exp(rng.normal(-5.0, 0.9, len(steps))))
+    return zw, zb, jump_x, jump_v
+
+
+class TestKernelsMatchOracle:
+    """The sliced kernels against the one-step-per-element oracles in
+    ``oracles.py``, under exact equality."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_euler_with_jumps(self, n):
+        args = (math.log(100.0), 0.15, 0.03, 6.0, 0.16, 0.7, DT_YEARS,
+                1e-12) + _euler_inputs(n, seed=n)
+        x, s2 = _euler_kernel(*args)
+        want_x, want_s2 = oracles.euler_kernel(*args)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(s2, want_s2)
+
+    @pytest.mark.parametrize("n", (CHUNK + 1, 2 * CHUNK + 3))
+    def test_euler_heavy_floor_reflection(self, n):
+        # the variance reverts fast to a mean below the floor
+        zw, zb, jump_x, jump_v = _euler_inputs(n, seed=7)
+        floor, kappa, sbar2, delta = 0.12, 5000.0, 0.01, 1.3
+        args = (0.0, floor, 0.0, kappa, sbar2, delta, DT_YEARS, floor,
+                zw, zb, jump_x, jump_v)
+        x, s2 = _euler_kernel(*args)
+        want_x, want_s2 = oracles.euler_kernel(*args)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(s2, want_s2)
+        s = np.sqrt(s2[:-1])
+        raw = (s2[:-1] + kappa * (sbar2 - s2[:-1]) * DT_YEARS
+               + delta * s * math.sqrt(DT_YEARS) * zb + s * jump_v)
+        assert np.mean(raw < floor) > 0.2
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("kappa", (0.0, 3000.0))
+    @pytest.mark.parametrize("spacing", ("regular", "irregular"))
+    def test_ou(self, n, kappa, spacing):
+        rng = np.random.default_rng(n)
+        if spacing == "regular":
+            dts = np.full(n, 1.0 / SECONDS_PER_YEAR)
+        else:
+            dts = rng.exponential(1.0, n) / SECONDS_PER_YEAR
+        z = rng.standard_normal(n)
+        # the level starts at the floor; with kappa > 0 it reverts to a
+        # theta below it
+        floor, theta, vol = 2.5e-5, 1e-5, 2e-4
+        args = (floor, kappa, theta, vol, floor, dts, z)
+        g = _ou_kernel(*args)
+        assert np.array_equal(g, oracles.ou_kernel(*args))
+        if n > CHUNK:
+            phi = np.exp(-kappa * dts)
+            sd = (vol * np.sqrt((1.0 - phi * phi) / (2.0 * kappa))
+                  if kappa > 0.0 else vol * np.sqrt(dts))
+            raw = theta + phi * (g[:-1] - theta) + sd * z
+            assert np.sum(raw < floor) >= 10
+
+    @pytest.mark.parametrize("kind", ("stationary", "ushape", "custom_g",
+                                      "linear_g"))
+    def test_simulate_observed_unchanged(self, kind, monkeypatch):
+        cfg = SimConfig(days=1, avg_dt_seconds=2.0, noise_kind=kind, seed=31,
+                        lambda_x=300.0, lambda_v=300.0, g_kappa=3000.0,
+                        g_vol=1e-4, g_floor=5e-6, g_beta=1e-4, g_alpha=1e-5)
+        series, truth = simulate_observed(cfg)
+        monkeypatch.setattr(simulate, "_euler_kernel", oracles.euler_kernel)
+        monkeypatch.setattr(simulate, "_ou_kernel", oracles.ou_kernel)
+        want_series, want_truth = simulate_observed(cfg)
+        assert np.array_equal(series.times, want_series.times)
+        assert np.array_equal(series.prices, want_series.prices)
+        for name in ("iv", "iq", "qv", "gg", "iv_per_day", "g_path",
+                     "x_jump_times", "x_jump_sizes", "v_jump_times",
+                     "v_jump_sizes"):
+            assert np.array_equal(getattr(truth, name),
+                                  getattr(want_truth, name)), name
