@@ -20,6 +20,22 @@ radix-``2**16`` limbs in int64; the limbs are then either combined as
 Python ints (one sum) or carried and rounded row by row with numpy (many
 block sums, and the windowed sums of :func:`window_sums`).
 
+In front of the accumulator runs a certified fast path, the
+filter-then-exact pattern of Shewchuk's adaptive predicates (Discrete
+Comput. Geom. 1997).  A slice of ``CHUNK`` values, or a block row, of
+length ``len`` has ``max|x| < 2**e``.  With ``M = ceil(log2(len + 2))``,
+two error-free extraction passes ``q = (x + s) - s``, ``r = x - q`` (Rump,
+Ogita & Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+Comput. 31(1), 2008), with ``s = 2**(M + e)`` and then ``2**(2M + e - 52)``,
+split off two parts whose sums ``S1`` and ``S2`` are exact in any order;
+what is left sums to at most ``len * 2**(2M + e - 105)`` in magnitude.
+``TwoSum(S1, S2) = (hi, err)``, and ``hi`` is the correctly rounded sum
+whenever ``|err|`` plus that bound is below half the smaller gap next to
+``hi``.  Slices of one sum are joined with ``math.fsum`` over their parts
+and tested the same way.  Where the test fails (a sum on a rounding tie or
+near one, a zero or subnormal result, exponents beyond +-900) the
+accumulator above runs; in ``block_sums`` only for the rows that failed.
+
 Inputs that hold inf or nan, or whose sum of magnitudes could reach
 ``2**1023``, go to ``math.fsum`` itself: there the result or the exception
 (``OverflowError`` on intermediate overflow, ``ValueError`` for
@@ -38,6 +54,8 @@ _LIMB = 16
 _MASK = (1 << _LIMB) - 1
 _POW2 = 2.0 ** np.arange(_LIMB)
 _SAFE = 2.0 ** 1023
+_RANGE = 900        # exponents the certified path accepts, in +-
+_MARGIN = 1.0 + 2.0**-20  # covers rounding in the certificate's own test
 
 
 def _floats(values) -> np.ndarray:
@@ -163,13 +181,64 @@ def _exact(x: np.ndarray) -> float:
     return total / (1 << _BIAS)
 
 
+def _extract(X: np.ndarray):
+    """Two error-free extraction passes over each row of ``X`` (at most
+    ``CHUNK`` values per row).
+
+    Returns ``(S1, S2, bound, ok)`` per row: the exact row sum lies within
+    ``bound`` of ``S1 + S2``, and ``ok`` is False where the row's exponent
+    is outside the certified range.
+    """
+    rows, size = X.shape
+    M = (size + 1).bit_length()   # ceil(log2(len + 2))
+    e = np.frexp(np.maximum(X.max(axis=1), -X.min(axis=1)))[1]
+    ok = (-_RANGE <= e) & (e <= _RANGE)
+    k = np.minimum(np.maximum(e, -_RANGE), _RANGE) + M
+    sigma = np.ldexp(1.0, k)
+    if rows > 1:   # numpy adds a broadcast column slowly, a full array fast
+        sigma = np.repeat(sigma, size).reshape(X.shape)
+    q = X + sigma
+    q -= sigma
+    r = X - q
+    sigma *= 2.0 ** (M - 52)
+    r += sigma
+    r -= sigma
+    bound = np.ldexp(float(size), k + (M - 105))
+    return q.sum(axis=1), r.sum(axis=1), bound, ok
+
+
+def _certified(hi, err, bound):
+    """True where every real within ``bound`` of ``hi + err`` rounds to
+    ``hi``.  A zero ``hi`` never passes, as half the gap next to zero
+    rounds to 0.0, so the sign of a zero sum is left to the fallback."""
+    gap = np.minimum(np.nextafter(hi, np.inf) - hi,
+                     hi - np.nextafter(hi, -np.inf))
+    return (np.abs(err) + bound) * _MARGIN < 0.5 * gap
+
+
+def _sum(x: np.ndarray) -> float:
+    """Exactly rounded sum of the finite, non-risky ``x``: the certified
+    path over slices of ``CHUNK`` values, else :func:`_exact`."""
+    parts, bounds = [], []
+    for i in range(0, len(x), CHUNK):
+        S1, S2, bound, ok = _extract(x[None, i:i + CHUNK])
+        if not ok[0]:
+            return _exact(x)
+        parts += (S1.item(), S2.item())
+        bounds.append(bound.item())
+    hi = math.fsum(parts)
+    if _certified(hi, math.fsum(parts + [-hi]), math.fsum(bounds)):
+        return hi
+    return _exact(x)
+
+
 def csum(values) -> float:
     """Exactly rounded sum of a 1-d array or iterable of floats,
     bit-identical to ``math.fsum``."""
     x = _floats(values)
     if _risky(x, len(x)):
         return math.fsum(x.tolist())
-    return _exact(x)
+    return _sum(x)
 
 
 def _pieces(x: np.ndarray, size: int):
@@ -216,9 +285,23 @@ def block_sums(values: np.ndarray, size: int) -> np.ndarray:
     if r == 0:
         return np.zeros(0)
     if size > CHUNK:
-        return np.array([_exact(x[i * size:(i + 1) * size])
+        return np.array([_sum(x[i * size:(i + 1) * size])
                          for i in range(r)])
-    return _round(*_digits(x, size))
+    out = np.empty(r)
+    ok = np.empty(r, bool)
+    step = max(1, CHUNK // size)
+    for a in range(0, r, step):
+        S1, S2, bound, ok_range = _extract(
+            x[a * size:(a + step) * size].reshape(-1, size))
+        hi = S1 + S2
+        t = hi - S1
+        err = (S1 - (hi - t)) + (S2 - t)   # TwoSum: S1 + S2 == hi + err
+        out[a:a + step] = hi
+        ok[a:a + step] = ok_range & _certified(hi, err, bound)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        out[bad] = _round(*_digits(x.reshape(r, size)[bad].ravel(), size))
+    return out
 
 
 def window_sums(values, width: int) -> np.ndarray:

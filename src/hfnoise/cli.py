@@ -19,10 +19,8 @@ from .liquidity import liquidity_report
 from .mc import (NULL_OF, StudySpec, density_table, run_paired_roc, run_study)
 from .regress import block_estimates, ols
 from .simulate import SimConfig, config_from_file, simulate_observed
-from .stationarity import run_test
-from .ticks import load_csv, write_csv
-
-_ALL_TESTS = ("N", "V", "Vprime", "Vbar")
+from .stationarity import _TESTS, run_test
+from .ticks import DAYS_PER_YEAR, SECONDS_PER_DAY, load_csv, write_csv
 
 
 def _fmt(x) -> str:
@@ -78,10 +76,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_test(args) -> int:
     series = _load_series(args)
-    kinds = args.tests.split(",") if args.tests else list(_ALL_TESTS)
+    kinds = args.tests.split(",") if args.tests else list(_TESTS)
     rows = []
     for kind in kinds:
-        if kind not in _ALL_TESTS:
+        if kind not in _TESTS:
             raise InvalidConfig(f"unknown test kind {kind!r}")
         rep = run_test(series, kind, K=args.K, window=args.s)
         rows.append(rep)
@@ -121,7 +119,7 @@ def _write_stats_csv(path, result, kinds):
 def cmd_mc(args) -> int:
     kinds = tuple(args.tests.split(",")) if args.tests else ("N",)
     for kind in kinds:
-        if kind not in _ALL_TESTS:
+        if kind not in _TESTS:
             raise InvalidConfig(f"unknown test kind {kind!r}")
     cfg = _build_config(args) if (args.config or args.set) else None
     spec = StudySpec(reps=args.reps, scenario=args.scenario, tests=kinds,
@@ -170,9 +168,9 @@ def cmd_liquidity(args) -> int:
 
 def _default_block_m(series) -> int:
     # one block ~ 10 minutes of ticks, capped so at least 3 blocks fit
-    span_days = (series.times[-1] - series.times[0]) * 252.0
+    span_days = (series.times[-1] - series.times[0]) * DAYS_PER_YEAR
     ticks_per_day = series.n / max(span_days, 1e-12)
-    m = max(64, int(ticks_per_day * 600.0 / 23400.0))
+    m = max(64, int(ticks_per_day * 600.0 / SECONDS_PER_DAY))
     return min(m, max(64, series.n // 3))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._accum import block_sums, csum, window_sums
 from .errors import InvalidK, InvalidWindow
-from .stationarity import block_diff_mean_sq
+from .stationarity import _block_diff_mean_sq
 from .ticks import TickSeries
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -47,6 +47,25 @@ def default_span(n: int, K: int) -> int:
     return max(1, int(math.sqrt(n / K)))
 
 
+def _check_K(n: int, K: int) -> None:
+    if n // K < 3:
+        raise InvalidK(f"need n//K >= 3 blocks, got {n // K}")
+
+
+def _check_span(n: int, K: int, span: int) -> None:
+    r = n // K
+    if span < 1 or r < span + 1:
+        raise InvalidWindow(f"need 1 <= span <= n//K - 1, got span={span}, "
+                            f"n//K={r}")
+
+
+def _block_rv(series: TickSeries, K: int):
+    """Squared increments and their exact sums over blocks of ``K``."""
+    d = np.diff(series.prices)
+    d2 = d * d
+    return d2, block_sums(d2, K)
+
+
 def noise_qv(series: TickSeries, K: int) -> float:
     """Consistent estimate of the noise-variance quadratic variation.
 
@@ -57,10 +76,12 @@ def noise_qv(series: TickSeries, K: int) -> float:
     InvalidK
         If fewer than 3 blocks fit.
     """
-    n = series.n
-    if n // K < 3:
-        raise InvalidK(f"need n//K >= 3 blocks, got {n // K}")
-    return 1.5 * n / (K * K) * block_diff_mean_sq(series, K)
+    _check_K(series.n, K)
+    return _noise_qv(series.n, K, _block_rv(series, K)[1])
+
+
+def _noise_qv(n: int, K: int, rv_b: np.ndarray) -> float:
+    return 1.5 * n / (K * K) * _block_diff_mean_sq(rv_b, n)
 
 
 def noise_qv_stderr(series: TickSeries, K: int, span: int):
@@ -81,14 +102,11 @@ def noise_qv_stderr(series: TickSeries, K: int, span: int):
     InvalidWindow
         If ``span < 1`` or fewer than ``span + 1`` blocks fit.
     """
-    n = series.n
-    r = n // K
-    if span < 1 or r < span + 1:
-        raise InvalidWindow(f"need 1 <= span <= n//K - 1, got span={span}, "
-                            f"n//K={r}")
-    d = np.diff(series.prices)
-    d2 = d * d
-    rv_b = block_sums(d2, K)
+    _check_span(series.n, K, span)
+    return _noise_qv_stderr(K, span, *_block_rv(series, K))
+
+
+def _noise_qv_stderr(K: int, span: int, d2: np.ndarray, rv_b: np.ndarray):
     q_b = block_sums(d2 * d2, K)
 
     # windows i = 1..r-span of the sum of `span` consecutive squared steps
@@ -120,8 +138,11 @@ def liquidity_report(series: TickSeries, K: int | None = None,
         K = default_liquidity_K(n)
     if span is None:
         span = default_span(n, K)
-    gg = noise_qv(series, K)
-    gamma, degenerate = noise_qv_stderr(series, K, span)
+    _check_K(n, K)
+    _check_span(n, K, span)
+    d2, rv_b = _block_rv(series, K)
+    gg = _noise_qv(n, K, rv_b)
+    gamma, degenerate = _noise_qv_stderr(K, span, d2, rv_b)
     lo = gg - Z_95 * gamma
     hi = gg + Z_95 * gamma
     note = "ci_low below 0; the estimand is nonnegative" if lo < 0 else ""

@@ -7,7 +7,7 @@ squares over the block pairs then estimates an affine noise-variance /
 volatility link, in levels or on logs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,10 +118,4 @@ def ols(pairs: np.ndarray, log_log: bool = False) -> RegressionReport:
 def fit_blocks(series: TickSeries, m: int, log_log: bool = False,
                K: int | None = None) -> RegressionReport:
     """Convenience: :func:`block_estimates` followed by :func:`ols`."""
-    pairs = block_estimates(series, m, K=K)
-    report = ols(pairs, log_log=log_log)
-    return RegressionReport(beta_hat=report.beta_hat,
-                            alpha_hat=report.alpha_hat,
-                            r_squared=report.r_squared,
-                            pairs=pairs, m=m, log_log=log_log,
-                            dropped=report.dropped)
+    return replace(ols(block_estimates(series, m, K=K), log_log=log_log), m=m)

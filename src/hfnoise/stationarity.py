@@ -179,8 +179,10 @@ def block_diff_mean_sq(series: TickSeries, K: int) -> float:
     r = n // K
     if r < 2:
         raise InvalidWindow(f"need at least 2 blocks, got n//K={r}")
-    d2 = np.diff(series.prices) ** 2
-    rv_blocks = block_sums(d2, K)
+    return _block_diff_mean_sq(block_sums(np.diff(series.prices) ** 2, K), n)
+
+
+def _block_diff_mean_sq(rv_blocks: np.ndarray, n: int) -> float:
     steps = np.diff(rv_blocks)
     return csum(steps * steps) / (4.0 * n)
 

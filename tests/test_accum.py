@@ -1,5 +1,6 @@
-"""The exact accumulator against ``math.fsum``, and the closed-form window
-statistics against the slice-and-resum oracles in ``oracles.py``."""
+"""The exact accumulator against ``math.fsum``, its certified fast path and
+fallback, and the closed-form window statistics against the
+slice-and-resum oracles in ``oracles.py``."""
 
 import math
 import time
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hfnoise as hf
-from hfnoise import stationarity
+from hfnoise import _accum, stationarity
 from hfnoise._accum import CHUNK, block_sums, csum, window_sums
 
 import oracles
@@ -122,6 +123,91 @@ def test_csum_accepts_iterables():
     values = [0.1] * 10
     assert csum(values) == csum(iter(values)) == math.fsum(values) == 1.0
     assert csum(np.arange(5)) == 10.0
+
+
+# --- certified fast path and its fallback ---------------------------------
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts what reaches the exact accumulator: calls of ``_exact`` (one
+    sum each) and rows passed to ``_digits``."""
+    seen = {"exact": 0, "rows": 0}
+    exact, digits = _accum._exact, _accum._digits
+
+    def counting_exact(x):
+        seen["exact"] += 1
+        return exact(x)
+
+    def counting_digits(x, size):
+        seen["rows"] += len(x) // size
+        return digits(x, size)
+
+    monkeypatch.setattr(_accum, "_exact", counting_exact)
+    monkeypatch.setattr(_accum, "_digits", counting_digits)
+    return seen
+
+
+@pytest.fixture(scope="module", params=["stationary", "ushape", "custom_g"])
+def month(request):
+    return scenario(request.param, days=30)
+
+
+def test_month_sums_take_the_certified_path(month, fallbacks):
+    d2 = np.diff(month.prices) ** 2
+    n = len(d2)
+    for x in (d2, d2 * d2):
+        assert same_bits(csum(x), math.fsum(x.tolist()))
+        for K in (int(n**0.6), int(n**0.62)):
+            assert same_bits(block_sums(x, K), oracles.fsum_block_sums(x, K))
+    assert fallbacks == {"exact": 0, "rows": 0}
+
+
+FALLBACK_CASES = {
+    "rounding tie": [1.0, 2.0**-53],
+    # a tie below a power of two, broken downward by a bit the extraction
+    # leaves in its remainder
+    "tie under 2**0": [1.0, -2.0**-54, -2.0**-120],
+    "cancellation": [1e16, 1.0, -1e16],
+    "negative zeros": [-0.0] * 5,
+    "subnormals": [TINY, 3 * TINY, -TINY, 2.0**-1060],
+    "near 2**1023": [2.0**1021, -3.0 * 2.0**1019, 1.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_uncertified_sums_fall_back(case, fallbacks):
+    x = np.array(FALLBACK_CASES[case])
+    assert same_bits(csum(x), math.fsum(x.tolist()))
+    assert fallbacks["exact"] == 1
+    assert same_bits(block_sums(x, len(x)), [math.fsum(x.tolist())])
+    assert fallbacks["rows"] == 1
+
+
+def fallback_row(size, k):
+    """A row of ``size`` values whose sum the certificate cannot settle."""
+    if size == 1:
+        return [(-0.0, 0.0, TINY)[k % 3]]
+    if size == 2:
+        return [(1.0, 1.0 + 2.0**-52)[k % 2], 2.0**-53]  # ties
+    pattern = ([1e16, 1.0, -1e16], [1.0, 2.0**-53, 0.0], [-0.0] * 3)[k % 3]
+    return pattern + [0.0] * (size - 3)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_mixed_rows_fall_back_one_by_one(size, fallbacks):
+    rng = np.random.default_rng(size)
+    rows = 7 if size > 3 else 3000
+    bad = set(rng.choice(rows, size=max(2, rows // 7), replace=False).tolist())
+    # the other rows sum exactly in float64, so they always certify (two
+    # or three arbitrary floats often sum to a rounding tie)
+    x = np.concatenate([
+        fallback_row(size, k) if k in bad
+        else np.round(rng.standard_normal(size) * 2**20)
+        * 2.0 ** int(rng.integers(-30, 30))
+        for k in range(rows)])
+    assert same_bits(block_sums(x, size), oracles.fsum_block_sums(x, size))
+    counted = fallbacks["exact"] if size > CHUNK else fallbacks["rows"]
+    assert counted == len(bad)
 
 
 # --- closed-form window statistics against the slice-and-resum oracle ----

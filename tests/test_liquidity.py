@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidK, InvalidWindow, block_diff_mean_sq,
+from hfnoise import (InvalidK, InvalidWindow, block_diff_mean_sq, liquidity,
                      liquidity_report, noise_moments, noise_qv,
                      noise_qv_stderr)
+from hfnoise._accum import block_sums
 from hfnoise.liquidity import Z_95, default_liquidity_K, default_span
 
 from conftest import make_series, noise_series
@@ -110,3 +111,29 @@ class TestReport:
             rep = liquidity_report(s)
             for v in (rep.gg_hat, rep.gamma_hat, rep.ci_low, rep.ci_high):
                 assert np.isfinite(v)
+
+    def test_block_sums_shared(self, monkeypatch):
+        # one pass of block sums over d2 and one over d2*d2, and the same
+        # bits as the two public estimators computed separately
+        s = noise_series(20000, seed=8)
+        K, span = 300, 4
+        gg = noise_qv(s, K)
+        gamma, degenerate = noise_qv_stderr(s, K, span)
+        summed = []
+
+        def counting(values, size):
+            summed.append(len(values))
+            return block_sums(values, size)
+
+        monkeypatch.setattr(liquidity, "block_sums", counting)
+        rep = liquidity_report(s, K, span)
+        assert summed == [s.n, s.n]
+        assert (rep.gg_hat, rep.gamma_hat, rep.degenerate) == (
+            gg, gamma, degenerate)
+
+    def test_errors_as_the_estimators_raise_them(self):
+        s = noise_series(100, seed=9)
+        with pytest.raises(InvalidK):
+            liquidity_report(s, K=40, span=0)
+        with pytest.raises(InvalidWindow):
+            liquidity_report(s, K=10, span=10)

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfnoise import (FewerThanTwoTicks, MalformedRow, NonFiniteValue,
                      NonMonotoneTimes, TickSeries, load_csv, validate,
@@ -80,6 +82,83 @@ class TestLoadCsv:
         text = "time,price\n0.0,1.0\n1.0,2.0\n"
         assert load_csv(io.StringIO(text)).n == 1
         assert load_csv(text.encode()).n == 1
+
+
+FIELD_FORMATS = (repr, "{:.17e}".format, "{:.17E}".format, "{:.17g}".format)
+SPACE = st.sampled_from(["", " ", "  ", "\t", " \t "])
+BLANK = st.sampled_from(["", " ", "\t", "  "])
+CORRUPTIONS = (
+    lambda t, p: "x" + t + "," + p,
+    lambda t, p: t,
+    lambda t, p: t + "," + p + ",0",
+    lambda t, p: t + ";" + p,
+    lambda t, p: t + ",",
+    lambda t, p: ",",
+    lambda t, p: t + ",1e",
+    lambda t, p: "0x1p3," + p,
+)
+
+
+@st.composite
+def csv_exports(draw, corrupt=False):
+    """A ``time,price`` export as real tools write it: CRLF or LF line
+    ends, stray whitespace, exponent notation, duplicate and unsorted
+    times, blank lines and maybe a BOM.  Returns ``(data, times, prices,
+    bad_line)``: the bytes or text, the series it should load as (sorted,
+    last duplicate kept) and, with ``corrupt``, the line number of the
+    corrupted row."""
+    pool = draw(st.lists(st.floats(0.0, 1e3).map(lambda t: t + 0.0),
+                         min_size=2, max_size=8, unique=True))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=8))
+    times = draw(st.permutations(pool + extra))
+    prices = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(times),
+                           max_size=len(times)))
+    fields = [(draw(st.sampled_from(FIELD_FORMATS))(t),
+               draw(st.sampled_from(FIELD_FORMATS))(p))
+              for t, p in zip(times, prices)]
+    bad = draw(st.integers(0, len(fields) - 1)) if corrupt else None
+
+    lines = [draw(st.sampled_from(["time,price", "time, price",
+                                   " time ,price "]))]
+    bad_line = None
+    for i, (t, p) in enumerate(fields):
+        lines += draw(st.lists(BLANK, max_size=1))
+        if i == bad:
+            lines.append(draw(st.sampled_from(CORRUPTIONS))(t, p))
+            bad_line = len(lines)
+        else:
+            lines.append(draw(SPACE) + t + draw(SPACE) + "," + draw(SPACE)
+                         + p + draw(SPACE))
+    lines += draw(st.lists(BLANK, max_size=3))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                   for line in lines)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    data = draw(st.sampled_from([text, text.encode("utf-8"),
+                                 io.BytesIO(text.encode("utf-8"))]))
+
+    last = dict(zip(times, prices))
+    order = sorted(last)
+    return data, order, [last[t] for t in order], bad_line
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_exports())
+    def test_exports_load_sorted_with_last_duplicate(self, export):
+        data, times, prices, _ = export
+        s = load_csv(data)
+        assert s.times.tobytes() == np.array(times).tobytes()
+        assert s.prices.tobytes() == np.array(prices).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_exports(corrupt=True))
+    def test_corrupted_row_reports_its_line(self, export):
+        data, _, _, bad_line = export
+        with pytest.raises(MalformedRow) as err:
+            load_csv(data)
+        assert err.value.line_number == bad_line
+        assert f"line {bad_line}:" in str(err.value)
 
 
 class TestRoundTrip:
