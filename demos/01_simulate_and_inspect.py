@@ -6,10 +6,9 @@ and Poisson-thinned observation times.  The exported ground truth lets us
 see how well the realized-variance family recovers integrated variance.
 """
 
-import numpy as np
-
-from hfnoise import (SimConfig, default_K, estimator_bundle, noise_moments,
-                     simulate_observed, write_csv)
+from hfnoise import (SimConfig, avg_rv, default_K, noise_moments,
+                     realized_variance, simulate_observed, tsrv, write_csv,
+                     wtsrv)
 
 cfg = SimConfig(days=1, avg_dt_seconds=1.0, noise_kind="stationary", seed=42)
 series, truth = simulate_observed(cfg)
@@ -21,14 +20,15 @@ print(f"true quadratic variation: {truth.qv:.6e} "
       f"({len(truth.x_jump_times)} price jumps)")
 
 K = default_K(series.n)
-b = estimator_bundle(series, K)
+rv_full = realized_variance(series)
+weighted = wtsrv(series, K)
 print(f"\nsubsampling step K = {K}")
-print(f"realized variance (full grid):   {b.rv_full:.6e}   <- noise dominated")
-print(f"subsample-averaged RV:           {b.avg_rv:.6e}")
-print(f"two-scale estimate:              {b.tsrv:.6e}")
-print(f"sample-weighted two-scale:       {b.wtsrv:.6e}")
+print(f"realized variance (full grid):   {rv_full:.6e}   <- noise dominated")
+print(f"subsample-averaged RV:           {avg_rv(series, K):.6e}")
+print(f"two-scale estimate:              {tsrv(series, K):.6e}")
+print(f"sample-weighted two-scale:       {weighted:.6e}")
 print(f"relative error vs truth:         "
-      f"{b.wtsrv / truth.qv - 1:+.2%}")
+      f"{weighted / truth.qv - 1:+.2%}")
 
 nm = noise_moments(series)
 print(f"\nnoise second moment:  {nm.m2_hat:.3e} (true {cfg.a0**2:.3e})")
@@ -37,7 +37,7 @@ print(f"noise fourth moment:  {nm.q4_hat:.3e} (Gaussian: {3 * cfg.a0**4:.3e})")
 # The full-grid RV divided by 2n is the classic noise-variance estimate;
 # the ratio against the two-scale estimate shows how much of the raw RV
 # is microstructure, not volatility.
-print(f"\nnoise share of raw RV: {1 - b.wtsrv / b.rv_full:.1%}")
+print(f"\nnoise share of raw RV: {1 - weighted / rv_full:.1%}")
 
 write_csv(series, "demo_day.csv")
 print("\nwrote demo_day.csv (reload with hfnoise.load_csv)")

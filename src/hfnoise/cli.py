@@ -14,12 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import HFNoiseError, InvalidConfig
+from .errors import HFNoiseError
 from .liquidity import liquidity_report
 from .mc import (NULL_OF, StudySpec, density_table, run_paired_roc, run_study)
 from .regress import block_estimates, ols
-from .simulate import SimConfig, config_from_file, simulate_observed
-from .stationarity import _TESTS, run_test
+from .simulate import (SimConfig, _parse_assignment, config_from_file,
+                       simulate_observed)
+from .stationarity import _TESTS, _check_kinds, run_test
 from .ticks import DAYS_PER_YEAR, SECONDS_PER_DAY, load_csv, write_csv
 
 
@@ -43,14 +44,7 @@ def _build_config(args) -> SimConfig:
         overrides["avg_dt_seconds"] = args.avg_dt
     if args.seed is not None:
         overrides["seed"] = args.seed
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise InvalidConfig(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        from .simulate import _CONFIG_FIELDS, _coerce
-        if key not in _CONFIG_FIELDS:
-            raise InvalidConfig(f"unknown config key {key!r}")
-        overrides[key] = _coerce(key, val)
+    overrides.update(map(_parse_assignment, getattr(args, "set", None) or []))
     return replace(cfg, **overrides)
 
 
@@ -75,14 +69,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    series = _load_series(args)
     kinds = args.tests.split(",") if args.tests else list(_TESTS)
-    rows = []
-    for kind in kinds:
-        if kind not in _TESTS:
-            raise InvalidConfig(f"unknown test kind {kind!r}")
-        rep = run_test(series, kind, K=args.K, window=args.s)
-        rows.append(rep)
+    _check_kinds(kinds)
+    series = _load_series(args)
+    rows = [run_test(series, kind, K=args.K, window=args.s) for kind in kinds]
     header = (f"{'kind':8}{'K':>8}{'s':>6}{'statistic':>16}{'p_value':>14}"
               f"{'log_p':>14}  degenerate")
     print(header)
@@ -118,9 +108,6 @@ def _write_stats_csv(path, result, kinds):
 
 def cmd_mc(args) -> int:
     kinds = tuple(args.tests.split(",")) if args.tests else ("N",)
-    for kind in kinds:
-        if kind not in _TESTS:
-            raise InvalidConfig(f"unknown test kind {kind!r}")
     cfg = _build_config(args) if (args.config or args.set) else None
     spec = StudySpec(reps=args.reps, scenario=args.scenario, tests=kinds,
                      alpha_level=args.alpha, base_seed=args.seed or 0,

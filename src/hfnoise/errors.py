@@ -37,10 +37,6 @@ class InvalidWindow(HFNoiseError):
     """Window configuration is not admissible for the series length."""
 
 
-class WindowOutOfRange(HFNoiseError):
-    """A local test window does not fit inside the observation range."""
-
-
 class NonFiniteStatistic(HFNoiseError):
     """A test statistic must be finite to map to a p-value."""
 

@@ -20,20 +20,6 @@ from .ticks import TickSeries
 
 
 @dataclass(frozen=True)
-class EstimatorBundle:
-    """All realized-variance style estimates of one series at one step K."""
-
-    rv_full: float
-    quarticity: float
-    avg_rv: float
-    modified_rv: float
-    tsrv: float
-    wtsrv: float
-    K: int
-    n: int
-
-
-@dataclass(frozen=True)
 class NoiseMoments:
     """Second/fourth conditional noise-moment estimates.
 
@@ -54,6 +40,28 @@ class NoiseMoments:
 def _check_K(K: int, n: int, hi: int, what: str = "K"):
     if not 2 <= K <= hi:
         raise InvalidK(f"need 2 <= {what} <= {hi}, got {what}={K} for n={n}")
+
+
+def default_K(n: int, c: float = 1.0) -> int:
+    """Divisor-friendly subsampling step near ``c * n**(2/3)``.
+
+    Searches ``floor(c * n**(2/3)) +/- 3`` for the step minimizing the
+    number of unused trailing increments ``n - (n // K) * K`` (ties broken
+    toward the window centre, then toward smaller K), clamped to
+    ``[2, n // 2]``.  Keeping the remainder small keeps the edge effect of
+    subsampled estimators deterministic and tiny.
+    """
+    base = int(c * float(n) ** (2.0 / 3.0) + 1e-9)
+    lo = max(2, base - 3)
+    hi = min(base + 3, n // 2)
+    if hi < lo:
+        return max(2, min(base, max(2, n // 2)))
+    best = None
+    for K in range(lo, hi + 1):
+        key = (n - (n // K) * K, abs(K - base), K)
+        if best is None or key < best[0]:
+            best = (key, K)
+    return best[1]
 
 
 def _rv(prices: np.ndarray) -> float:
@@ -188,26 +196,6 @@ def wtsrv(series: TickSeries, K: int) -> float:
     """
     _check_K(K, series.n, series.n // 2)
     return _wtsrv(series.prices, K)
-
-
-def estimator_bundle(series: TickSeries, K: int) -> EstimatorBundle:
-    """All estimators of this module evaluated once at step ``K``."""
-    _check_K(K, series.n, series.n // 2)
-    p = series.prices
-    a = _avg_rv(p, K)
-    rv = _rv(p)
-    mod = _modified_rv(p, K)
-    n = series.n
-    return EstimatorBundle(
-        rv_full=rv,
-        quarticity=_quarticity(p),
-        avg_rv=a,
-        modified_rv=mod,
-        tsrv=a - (n - K + 1) / (n * K) * rv,
-        wtsrv=a - mod / K,
-        K=K,
-        n=n,
-    )
 
 
 def noise_moments(series: TickSeries) -> NoiseMoments:

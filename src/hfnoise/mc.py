@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidConfig
-from .estimators import _tsrv, _wtsrv
-from .grids import default_K
+from .estimators import _tsrv, _wtsrv, default_K
 from .simulate import SimConfig, simulate_observed
-from .stationarity import run_test
+from .stationarity import _check_kinds, run_test
 
 SCENARIOS = {
     "null_1d": dict(noise_kind="stationary", days=1, avg_dt_seconds=1.0),
@@ -57,6 +56,10 @@ class StudySpec:
             raise InvalidConfig(f"unknown scenario {self.scenario!r}")
         if self.scenario == "custom" and self.config is None:
             raise InvalidConfig("scenario 'custom' needs an explicit config")
+        if isinstance(self.tests, str):
+            raise InvalidConfig(f"tests must be a tuple of kinds, "
+                                f"got the string {self.tests!r}")
+        _check_kinds(self.tests)
 
 
 @dataclass

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlockTooSmall, DegenerateDesign
-from .estimators import _rv, _wtsrv
-from .grids import default_K
+from .estimators import _rv, _wtsrv, default_K
 from .ticks import TickSeries
 
 

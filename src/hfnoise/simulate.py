@@ -466,18 +466,23 @@ def config_from_file(path, **overrides) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in _CONFIG_FIELDS:
-                raise InvalidConfig(f"unknown config key {key!r}")
-            values[key] = _coerce(key, val)
+            if line and not line.startswith("#"):
+                key, val = _parse_assignment(line)
+                values[key] = val
     values.update(overrides)
     return SimConfig(**values)
+
+
+def _parse_assignment(item):
+    """``(key, value)`` from one ``key=value`` config line or ``--set``
+    item; whitespace around key and value is ignored."""
+    if "=" not in item:
+        raise InvalidConfig(f"expected key=value, got {item!r}")
+    key, _, val = item.partition("=")
+    key = key.strip()
+    if key not in _CONFIG_FIELDS:
+        raise InvalidConfig(f"unknown config key {key!r}")
+    return key, _coerce(key, val.strip())
 
 
 def _coerce(key, val):

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.stats import norm
 
 from ._accum import block_sums, csum, window_sums
-from .errors import InvalidK, InvalidWindow, NonFiniteStatistic, WindowOutOfRange
-from .estimators import _scale_diff, noise_moments
+from .errors import InvalidConfig, InvalidK, InvalidWindow, NonFiniteStatistic
+from .estimators import _scale_diff, default_K, noise_moments
 from .ticks import TickSeries
 
 
@@ -92,37 +92,9 @@ def default_test_K(n: int, kind: str) -> int:
     use ``floor(n**0.6)``, which sits inside the admissible rate band for
     both the overlapping-window and block statistics.
     """
-    from .grids import default_K
-
     if kind == "N":
         return default_K(n)
     return max(4, int(float(n) ** 0.6))
-
-
-def window_contrast(series: TickSeries, K: int, start_block: int,
-                    window: int) -> float:
-    """Local scale contrast ``sqrt(K) * (wtsrv - tsrv)`` on one window.
-
-    The window covers blocks ``start_block .. start_block + window - 1``
-    (1-based), i.e. tick indices ``(start_block-1)*K .. (start_block-1+window)*K``,
-    and is re-indexed as a standalone series so that the two-scale edge
-    terms are window-local.
-
-    Raises
-    ------
-    WindowOutOfRange
-        If the window does not fit inside ``[0, n]``.
-    """
-    lo = (start_block - 1) * K
-    hi = (start_block - 1 + window) * K
-    if start_block < 1 or hi > series.n:
-        raise WindowOutOfRange(
-            f"window blocks {start_block}..{start_block + window - 1} "
-            f"(ticks {lo}..{hi}) outside [0, {series.n}]")
-    if window < 2:
-        raise InvalidWindow(f"need window >= 2 blocks, got {window}")
-    p = series.prices[lo:hi + 1]
-    return math.sqrt(K) * _scale_diff(p, K)
 
 
 def _window_contrasts(prices: np.ndarray, K: int, window: int,
@@ -275,11 +247,22 @@ _TESTS = {
 }
 
 
+def _check_kinds(kinds):
+    for kind in kinds:
+        if kind not in _TESTS:
+            raise InvalidConfig(f"unknown test kind {kind!r}")
+
+
 def run_test(series: TickSeries, kind: str, K: int | None = None,
              window: int | None = None) -> TestReport:
-    """Dispatch one test by kind code (``N``/``V``/``Vprime``/``Vbar``)."""
-    if kind not in _TESTS:
-        raise InvalidWindow(f"unknown test kind {kind!r}")
+    """Dispatch one test by kind code (``N``/``V``/``Vprime``/``Vbar``).
+
+    Raises
+    ------
+    InvalidConfig
+        If ``kind`` is not one of the four codes.
+    """
+    _check_kinds((kind,))
     if kind in ("V", "Vprime"):
         return _TESTS[kind](series, K=K, window=window)
     return _TESTS[kind](series, K=K)

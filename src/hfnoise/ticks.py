@@ -64,21 +64,12 @@ class TickSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def slice(self, start: int, stop: int) -> "TickSeries":
-        """Sub-series over tick indices ``start..stop`` inclusive."""
-        return TickSeries(self.times[start:stop + 1], self.prices[start:stop + 1])
 
-
-def validate(series: TickSeries) -> TickSeries:
-    """Return ``series`` if all invariants hold (idempotent).
-
-    Raises
-    ------
-    NonMonotoneTimes, NonFiniteValue, FewerThanTwoTicks
-        If any invariant is violated.  Construction already enforces them,
-        so this is a cheap re-check for data received from elsewhere.
-    """
-    return TickSeries(series.times, series.prices)
+def _check_units(time_unit, price_scale):
+    if time_unit not in ("yr", "sec"):
+        raise ValueError(f"time_unit must be 'yr' or 'sec', got {time_unit!r}")
+    if price_scale not in ("log", "raw"):
+        raise ValueError(f"price_scale must be 'log' or 'raw', got {price_scale!r}")
 
 
 def _parse_rows(lines):
@@ -128,10 +119,7 @@ def load_csv(source, time_unit: str = "yr", price_scale: str = "log") -> TickSer
     ------
     MalformedRow, FewerThanTwoTicks, NonFiniteValue
     """
-    if time_unit not in ("yr", "sec"):
-        raise ValueError(f"time_unit must be 'yr' or 'sec', got {time_unit!r}")
-    if price_scale not in ("log", "raw"):
-        raise ValueError(f"price_scale must be 'log' or 'raw', got {price_scale!r}")
+    _check_units(time_unit, price_scale)
 
     if isinstance(source, bytes):
         lines = source.decode("utf-8").splitlines()
@@ -180,10 +168,7 @@ def write_csv(series: TickSeries, dest, time_unit: str = "yr",
     Values are written with 17 significant digits so that a load/write
     cycle round-trips float64 data exactly.
     """
-    if time_unit not in ("yr", "sec"):
-        raise ValueError(f"time_unit must be 'yr' or 'sec', got {time_unit!r}")
-    if price_scale not in ("log", "raw"):
-        raise ValueError(f"price_scale must be 'log' or 'raw', got {price_scale!r}")
+    _check_units(time_unit, price_scale)
 
     times = series.times
     prices = series.prices

@@ -13,14 +13,13 @@ import pytest
 from scipy.stats import kstest
 
 from hfnoise import (SimConfig, StudySpec, TickSeries, avg_rv,
-                     liquidity_report, modified_rv, p_value, quarticity,
-                     realized_variance, run_study, run_test,
+                     liquidity_report, realized_variance, run_study, run_test,
                      simulate_observed, tsrv, wtsrv)
-from hfnoise.estimators import noise_moments
+from hfnoise.estimators import modified_rv, noise_moments, quarticity
 from hfnoise.mc import roc_points
 from hfnoise.regress import fit_blocks
 from hfnoise.simulate import STEPS_PER_DAY
-from hfnoise.stationarity import block_diff_mean_sq
+from hfnoise.stationarity import block_diff_mean_sq, p_value
 
 from conftest import make_series, noise_series
 from test_estimators import avg_rv_by_definition, modified_rv_by_definition

@@ -237,9 +237,9 @@ def test_window_means_match_oracle(series):
     cases = [(K, stationarity.default_window(n, K)), (K, 2), (64, 9),
              (16, 40)]
     for K, w in cases:
-        assert rel(hf.overlap_mean_sq(series, K, w),
+        assert rel(stationarity.overlap_mean_sq(series, K, w),
                    oracles.overlap_mean_sq(series, K, w)) <= REL, (K, w)
-        assert rel(hf.nonoverlap_mean_sq(series, K, w),
+        assert rel(stationarity.nonoverlap_mean_sq(series, K, w),
                    oracles.nonoverlap_mean_sq(series, K, w)) <= REL, (K, w)
 
 
@@ -247,9 +247,9 @@ def test_contrasts_match_window_contrast(series):
     K, w = 300, 5
     starts = [0, 3, series.n // K - w]
     got = stationarity._window_contrasts(series.prices, K, w, starts)
-    for b, c in zip(starts, got):
-        want = hf.window_contrast(series, K, b + 1, w)
-        assert c == pytest.approx(want, rel=1e-9, abs=1e-15)
+    want = oracles.slice_window_contrasts(series.prices, K, w, starts)
+    for c, v in zip(got, want):
+        assert c == pytest.approx(v, rel=1e-9, abs=1e-15)
 
 
 def test_statistics_match_oracle(series):
@@ -288,7 +288,7 @@ def test_window_test_is_linear_time():
     rng = np.random.default_rng(5)
     big = hf.TickSeries(np.arange(702_001, dtype=float),
                         A0 * rng.standard_normal(702_001))
-    hf.window_test(big)
+    stationarity.window_test(big)
     start = time.perf_counter()
-    hf.window_test(big)
+    stationarity.window_test(big)
     assert time.perf_counter() - start < 1.0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidIndices, InvalidK, avg_rv, estimator_bundle,
-                     modified_rv, noise_moments, quarticity,
-                     realized_variance, subgrids, tsrv, wtsrv)
+from hfnoise import InvalidIndices, InvalidK
+from hfnoise.estimators import (avg_rv, default_K, modified_rv, noise_moments,
+                                quarticity, realized_variance, tsrv, wtsrv)
 
 from conftest import make_series, noise_series
 
@@ -22,8 +22,8 @@ def avg_rv_by_definition(prices, K):
     """Literal mean over the K offset subgrids of the subgrid RV."""
     n = len(prices) - 1
     total = 0.0
-    for g in subgrids(n, K):
-        total += rv_on_grid(prices, g.indices.tolist())
+    for k in range(K):
+        total += rv_on_grid(prices, (k + K * np.arange(n // K)).tolist())
     return total / K
 
 
@@ -170,18 +170,24 @@ class TestTwoScale:
             wtsrv(s, 6)
 
 
-class TestBundle:
-    def test_fields_consistent(self, rng):
-        s = make_series(rng.standard_normal(101))
-        b = estimator_bundle(s, 10)
-        assert b.rv_full == realized_variance(s)
-        assert b.quarticity == quarticity(s)
-        assert b.avg_rv == avg_rv(s, 10)
-        assert b.modified_rv == modified_rv(s, 10)
-        assert b.tsrv == pytest.approx(tsrv(s, 10), rel=1e-14)
-        assert b.wtsrv == pytest.approx(wtsrv(s, 10), rel=1e-14)
-        assert (b.K, b.n) == (10, 100)
-        assert min(b.rv_full, b.quarticity, b.avg_rv, b.modified_rv) >= 0
+class TestDefaultK:
+    def test_examples(self):
+        assert default_K(1000) == 100
+        assert default_K(64) == 16
+        assert default_K(8) == 4
+
+    def test_scale(self):
+        assert default_K(23400, 0.715) == 585
+        assert 23400 % 585 == 0
+
+    @pytest.mark.parametrize("n", [50, 377, 1000, 4096, 23400, 99991])
+    def test_minimizes_remainder_in_window(self, n):
+        K = default_K(n)
+        base = int(n ** (2.0 / 3.0) + 1e-9)
+        lo, hi = max(2, base - 3), min(base + 3, n // 2)
+        best = min(n - (n // c) * c for c in range(lo, hi + 1))
+        assert lo <= K <= hi
+        assert n - (n // K) * K == best
 
 
 class TestNoiseMoments:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidK, InvalidWindow, block_diff_mean_sq, liquidity,
-                     liquidity_report, noise_moments, noise_qv,
-                     noise_qv_stderr)
+from hfnoise import (InvalidK, InvalidWindow, liquidity, liquidity_report,
+                     noise_moments)
 from hfnoise._accum import block_sums
-from hfnoise.liquidity import Z_95, default_liquidity_K, default_span
+from hfnoise.liquidity import (Z_95, default_liquidity_K, default_span,
+                               noise_qv, noise_qv_stderr)
+from hfnoise.stationarity import block_diff_mean_sq
 
 from conftest import make_series, noise_series
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidConfig, SimConfig, StudySpec, TickSeries,
+from hfnoise import (InvalidConfig, SimConfig, StudySpec, TickSeries, cli,
                      load_csv, mc, write_csv)
 from hfnoise.cli import main
 from hfnoise.mc import (ROC_LEVELS, density_table, roc_points, run_paired_roc,
                         run_study, scenario_config)
+from hfnoise.simulate import config_from_file
 
 FAST = dict(days=1, avg_dt_seconds=30.0)  # ~780 ticks/day, quick reps
 
@@ -15,6 +16,15 @@ def fast_spec(**kw):
                 config=SimConfig(**FAST), tests=("N",), base_seed=5)
     base.update(kw)
     return StudySpec(**base)
+
+
+@pytest.fixture
+def sim_calls(monkeypatch):
+    """Calls reaching the simulator, which is replaced by a recorder."""
+    calls = []
+    monkeypatch.setattr(mc, "simulate_observed",
+                        lambda *a, **k: calls.append(a))
+    return calls
 
 
 class TestStudySpec:
@@ -27,6 +37,17 @@ class TestStudySpec:
             StudySpec(reps=2, scenario="nope")
         with pytest.raises(InvalidConfig):
             StudySpec(reps=2, scenario="custom")
+
+    @pytest.mark.parametrize("tests, message", [
+        (("X",), "unknown test kind 'X'"),
+        (("N", "Vbar", "Y"), "unknown test kind 'Y'"),
+        ("Vbar", "got the string 'Vbar'"),
+    ])
+    def test_unknown_test_kind_rejected_before_simulating(self, sim_calls,
+                                                          tests, message):
+        with pytest.raises(InvalidConfig, match=message):
+            run_study(StudySpec(reps=2, tests=tests))
+        assert sim_calls == []
 
     def test_scenario_config(self):
         spec = StudySpec(reps=1, scenario="ushape_5d")
@@ -217,6 +238,49 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "roc" / "roc_N.csv").exists()
         assert (tmp_path / "roc" / "null_stats.csv").exists()
+
+    def test_mc_unknown_test_kind_exits_1(self, tmp_path, sim_calls, capsys):
+        code = self.run("--out", str(tmp_path / "bad"), "mc", "--reps", "2",
+                        "--tests", "X")
+        assert code == 1
+        assert "InvalidConfig" in capsys.readouterr().err
+        assert sim_calls == []
+
+    def test_test_unknown_kind_fails_before_any_test_runs(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        src = str(tmp_path / "s.csv")
+        write_csv(TickSeries(np.arange(500.0) / 252e4,
+                             np.random.default_rng(0).standard_normal(500)),
+                  src)
+        calls = []
+        monkeypatch.setattr(cli, "run_test", lambda *a, **k: calls.append(a))
+        code = self.run("test", "--input", src, "--tests", "N,X")
+        assert code == 1
+        assert "unknown test kind 'X'" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("line", ["days=2", "days = 2",
+                                      "  noise_kind =ushape ", "a1= 2e-4"])
+    def test_set_item_parses_like_config_file_line(self, tmp_path, line):
+        path = tmp_path / "one.cfg"
+        path.write_text(line + "\n")
+        from_set = cli._build_config(
+            cli._parser().parse_args(["simulate", "--set", line]))
+        from_file = cli._build_config(
+            cli._parser().parse_args(["simulate", "--config", str(path)]))
+        assert from_set == from_file == config_from_file(path)
+        assert from_set != SimConfig()
+
+    @pytest.mark.parametrize("line", ["bogus=1", " days  ", "dayz = 2"])
+    def test_set_item_and_config_file_reject_alike(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InvalidConfig):
+            cli._build_config(
+                cli._parser().parse_args(["simulate", "--set", line]))
+        with pytest.raises(InvalidConfig):
+            config_from_file(path)
 
     def test_liquidity_command(self, tmp_path, capsys):
         sim = str(tmp_path / "sim")

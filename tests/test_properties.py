@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfnoise import (TickSeries, avg_rv, load_csv, modified_rv, quarticity,
-                     realized_variance, run_test, subgrids, validate,
+from hfnoise import (TickSeries, avg_rv, load_csv, realized_variance, run_test,
                      write_csv)
+from hfnoise.estimators import modified_rv, quarticity
 
 from test_estimators import avg_rv_by_definition, modified_rv_by_definition
 
@@ -31,23 +31,6 @@ def test_csv_roundtrip_identity(prices):
     back = load_csv(buf.getvalue())
     assert np.array_equal(back.times, s.times)
     assert np.array_equal(back.prices, s.prices)
-
-
-@given(finite_prices)
-def test_validate_idempotent(prices):
-    s = build(prices)
-    assert np.array_equal(validate(validate(s)).prices, s.prices)
-
-
-@given(st.integers(min_value=2, max_value=60),
-       st.integers(min_value=1, max_value=60))
-def test_subgrids_partition_property(n, K):
-    if K > n:
-        K = n
-    grids = subgrids(n, K)
-    merged = np.concatenate([g.indices for g in grids])
-    assert len(merged) == K * (n // K)
-    assert len(np.unique(merged)) == len(merged)
 
 
 @given(finite_prices, st.integers(min_value=1, max_value=20))

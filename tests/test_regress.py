@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hfnoise import (BlockTooSmall, DegenerateDesign, SimConfig,
-                     block_estimates, fit_blocks, ols, simulate_latent,
-                     simulate_observed)
-from hfnoise.simulate import DT_YEARS, STEPS_PER_DAY
+                     block_estimates, fit_blocks, ols, simulate_observed)
+from hfnoise.simulate import DT_YEARS, STEPS_PER_DAY, simulate_latent
 
 from conftest import make_series, noise_series
 

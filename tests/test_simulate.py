@@ -5,13 +5,14 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import expon, kstest
 
-from hfnoise import (InvalidConfig, InvalidU, SimConfig, fractional_ma_coeffs,
-                     make_noise, observe, sample_times, simulate,
-                     simulate_latent, simulate_observed,
-                     stationary_variance_draw)
+from hfnoise import (InvalidConfig, InvalidU, SimConfig, simulate,
+                     simulate_observed)
 from hfnoise._accum import CHUNK
 from hfnoise.simulate import (DT_YEARS, STEPS_PER_DAY, _euler_kernel,
-                              _ou_kernel, _poisson_jumps)
+                              _ou_kernel, _poisson_jumps, config_from_file,
+                              config_to_file, fractional_ma_coeffs,
+                              make_noise, observe, sample_times,
+                              simulate_latent, stationary_variance_draw)
 from hfnoise.ticks import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
 import oracles
@@ -36,7 +37,6 @@ class TestConfig:
             SimConfig(lambda_x=-1)
 
     def test_config_file_roundtrip(self, tmp_path):
-        from hfnoise import config_from_file, config_to_file
         cfg = SimConfig(days=3, noise_kind="ushape", seed=99, a1=2e-4)
         path = tmp_path / "sim.cfg"
         config_to_file(cfg, path)
@@ -48,7 +48,6 @@ class TestConfig:
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus=1\n")
-        from hfnoise import config_from_file
         with pytest.raises(InvalidConfig):
             config_from_file(path)
 

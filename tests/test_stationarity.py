@@ -4,13 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidK, InvalidWindow, NonFiniteStatistic,
-                     WindowOutOfRange, block_diff_mean_sq, block_test,
-                     default_window, edge_test, log_p_value,
-                     nonoverlap_mean_sq, overlap_mean_sq, p_value, run_test,
-                     tsrv, window_contrast, window_test,
-                     window_test_nonoverlap, wtsrv)
+from hfnoise import (InvalidConfig, InvalidK, InvalidWindow,
+                     NonFiniteStatistic, noise_moments, run_test, tsrv, wtsrv)
+from hfnoise.stationarity import (_window_contrasts, block_diff_mean_sq,
+                                  block_test, default_window, edge_test,
+                                  log_p_value, nonoverlap_mean_sq,
+                                  overlap_mean_sq, p_value, window_test,
+                                  window_test_nonoverlap)
 
+import oracles
 from conftest import make_series, noise_series
 
 A0 = 5e-3
@@ -65,24 +67,21 @@ class TestDefaultWindow:
 
 
 class TestWindowContrast:
+    # _window_contrasts takes 0-based block starts; the oracle re-slices
+    # each window as a standalone series.
     def test_constant_zero(self):
-        s = make_series([1.0] * 41)
-        assert window_contrast(s, K=4, start_block=1, window=3) == 0.0
+        p = make_series([1.0] * 41).prices
+        assert _window_contrasts(p, 4, 3, [0]).tolist() == [0.0]
+        assert oracles.slice_window_contrasts(p, 4, 3, [0]).tolist() == [0.0]
 
     def test_full_range_matches_global_difference(self, rng):
         # with n = r*K the full-span window reproduces the whole series
         prices = rng.standard_normal(8 * 25 + 1)
         s = make_series(prices)
-        d = window_contrast(s, K=25, start_block=1, window=8)
         want = math.sqrt(25) * (wtsrv(s, 25) - tsrv(s, 25))
-        assert d == pytest.approx(want, rel=1e-10)
-
-    def test_out_of_range(self):
-        s = make_series(np.arange(101.0))
-        with pytest.raises(WindowOutOfRange):
-            window_contrast(s, K=10, start_block=9, window=3)
-        with pytest.raises(WindowOutOfRange):
-            window_contrast(s, K=10, start_block=0, window=2)
+        for d in (_window_contrasts(prices, 25, 8, [0])[0],
+                  oracles.slice_window_contrasts(prices, 25, 8, [0])[0]):
+            assert d == pytest.approx(want, rel=1e-10)
 
     def test_contrast_scale_feeds_pooling(self):
         # pooled first/second moments of the window contrasts sit near the
@@ -91,8 +90,7 @@ class TestWindowContrast:
         K = 200
         r = s.n // K
         w = 20
-        devs = [window_contrast(s, K, b, w) for b in range(1, r - w + 2)]
-        devs = np.array(devs)
+        devs = _window_contrasts(s.prices, K, w, range(r - w + 1))
         q = 3 * A0**4
         pooled = devs.mean() ** 2 + devs.var()
         assert pooled == pytest.approx(2 * q, rel=0.35)
@@ -111,10 +109,10 @@ class TestPooledMeans:
         K = 11
         prices = rng.standard_normal(4 * K + 1)
         s = make_series(prices)
-        devs = [window_contrast(s, K, b, 2) for b in (1, 2, 3)]
+        devs = oracles.slice_window_contrasts(prices, K, 2, [0, 1, 2])
         assert overlap_mean_sq(s, K, 2) == pytest.approx(
             np.mean(np.square(devs)), rel=1e-12)
-        devs_no = [window_contrast(s, K, b, 2) for b in (1, 3)]
+        devs_no = oracles.slice_window_contrasts(prices, K, 2, [0, 2])
         assert nonoverlap_mean_sq(s, K, 2) == pytest.approx(
             np.mean(np.square(devs_no)), rel=1e-12)
 
@@ -162,11 +160,15 @@ class TestReports:
             assert rep.statistic == 0.0
             assert rep.p_value == 1.0
 
+    @pytest.mark.parametrize("kind", ["X", "n", "Vbar,V"])
+    def test_unknown_kind_is_a_config_error(self, kind):
+        with pytest.raises(InvalidConfig, match="unknown test kind"):
+            run_test(noise_series(400, seed=1), kind)
+
     def test_edge_test_matches_components(self):
         s = noise_series(5000, seed=9)
         K = 100
         rep = edge_test(s, K)
-        from hfnoise import noise_moments
         nm = noise_moments(s)
         want = math.sqrt(K) * (wtsrv(s, K) - tsrv(s, K)) / math.sqrt(nm.q2sum_hat)
         assert rep.statistic == pytest.approx(want, rel=1e-10)

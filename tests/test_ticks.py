@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfnoise import (FewerThanTwoTicks, MalformedRow, NonFiniteValue,
-                     NonMonotoneTimes, TickSeries, load_csv, validate,
-                     write_csv)
+                     NonMonotoneTimes, TickSeries, load_csv, write_csv)
 from hfnoise.ticks import SECONDS_PER_YEAR
 
 from conftest import make_series
@@ -82,6 +82,18 @@ class TestLoadCsv:
         text = "time,price\n0.0,1.0\n1.0,2.0\n"
         assert load_csv(io.StringIO(text)).n == 1
         assert load_csv(text.encode()).n == 1
+
+    @pytest.mark.parametrize("units, message", [
+        (dict(time_unit="ms"), "time_unit must be 'yr' or 'sec', got 'ms'"),
+        (dict(price_scale="pct"),
+         "price_scale must be 'log' or 'raw', got 'pct'"),
+    ])
+    def test_unit_arguments_checked_like_write_csv(self, units, message):
+        s = make_series([1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv("time,price\n0.0,1.0\n1.0,2.0", **units)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv(s, io.StringIO(), **units)
 
 
 FIELD_FORMATS = (repr, "{:.17e}".format, "{:.17E}".format, "{:.17g}".format)
@@ -195,12 +207,6 @@ class TestRoundTrip:
 
 
 class TestValidate:
-    def test_valid_passthrough(self):
-        s = make_series([1.0, 2.0, 3.0])
-        v = validate(s)
-        assert np.array_equal(v.times, s.times)
-        assert np.array_equal(validate(v).prices, s.prices)
-
     def test_non_monotone(self):
         with pytest.raises(NonMonotoneTimes):
             TickSeries(np.array([0.0, 1.0, 1.0]), np.zeros(3))
@@ -217,9 +223,3 @@ class TestValidate:
         s = make_series([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.prices[0] = 9.0
-
-    def test_slice(self):
-        s = make_series([1.0, 2.0, 3.0, 4.0])
-        sub = s.slice(1, 3)
-        assert sub.n == 2
-        assert sub.prices.tolist() == [2.0, 3.0, 4.0]
