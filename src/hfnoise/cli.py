@@ -68,8 +68,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _kinds(tests, default) -> tuple:
+    # the comma list of --tests, each item stripped
+    return tuple(k.strip() for k in tests.split(",")) if tests else default
+
+
 def cmd_test(args) -> int:
-    kinds = args.tests.split(",") if args.tests else list(_TESTS)
+    kinds = _kinds(args.tests, tuple(_TESTS))
     _check_kinds(kinds)
     series = _load_series(args)
     rows = [run_test(series, kind, K=args.K, window=args.s) for kind in kinds]
@@ -107,7 +112,7 @@ def _write_stats_csv(path, result, kinds):
 
 
 def cmd_mc(args) -> int:
-    kinds = tuple(args.tests.split(",")) if args.tests else ("N",)
+    kinds = _kinds(args.tests, ("N",))
     cfg = _build_config(args) if (args.config or args.set) else None
     spec = StudySpec(reps=args.reps, scenario=args.scenario, tests=kinds,
                      alpha_level=args.alpha, base_seed=args.seed or 0,
@@ -239,10 +244,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HFNoiseError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HFNoiseError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,9 @@
 """Realized-variance family estimators and noise-moment estimators.
 
 All estimators consume observed log prices only; observation times never
-enter (subsampling is in tick counts).  Sums are accumulated with
-compensated summation, see :mod:`hfnoise._accum`.
+enter (subsampling is in tick counts).  Sums are exact, bit-identical to
+``math.fsum`` (:mod:`hfnoise._accum`), and each series' squared increments
+and their sums are derived once (:func:`_increments`).
 
 The two-scale estimator follows Zhang, Mykland and Ait-Sahalia (2005); the
 sample-weighted variant replaces the fast-scale correction with a
@@ -11,10 +12,12 @@ time-varying noise level induces.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._accum import csum
+from ._accum import block_sums, csum
 from .errors import InvalidIndices, InvalidK
 from .ticks import TickSeries
 
@@ -37,9 +40,9 @@ class NoiseMoments:
     degenerate: bool
 
 
-def _check_K(K: int, n: int, hi: int, what: str = "K"):
+def _check_K(K: int, n: int, hi: int):
     if not 2 <= K <= hi:
-        raise InvalidK(f"need 2 <= {what} <= {hi}, got {what}={K} for n={n}")
+        raise InvalidK(f"need 2 <= K <= {hi}, got K={K} for n={n}")
 
 
 def default_K(n: int, c: float = 1.0) -> int:
@@ -56,60 +59,70 @@ def default_K(n: int, c: float = 1.0) -> int:
     hi = min(base + 3, n // 2)
     if hi < lo:
         return max(2, min(base, max(2, n // 2)))
-    best = None
-    for K in range(lo, hi + 1):
-        key = (n - (n // K) * K, abs(K - base), K)
-        if best is None or key < best[0]:
-            best = (key, K)
-    return best[1]
+    return min(range(lo, hi + 1),
+               key=lambda K: (n - (n // K) * K, abs(K - base), K))
 
 
-def _rv(prices: np.ndarray) -> float:
-    d = np.diff(prices)
-    return csum(d * d)
+class _Increments:
+    """Read-only squared increments of one series and their exact sums."""
+
+    def __init__(self, prices: np.ndarray):
+        self.d2 = np.diff(prices) ** 2
+        self.d2.setflags(write=False)
+        self._blocks = (None, None)
+
+    @cached_property
+    def R(self) -> float:
+        return csum(self.d2)
+
+    @cached_property
+    def Q(self) -> float:
+        return csum(self.d2 * self.d2)
+
+    def block_sums(self, K: int) -> np.ndarray:
+        # one K cached: the tests and the liquidity report ask in runs of one K
+        last, sums = self._blocks
+        if last != K:
+            sums = block_sums(self.d2, K)
+            sums.setflags(write=False)
+            self._blocks = (K, sums)
+        return sums
 
 
-def _quarticity(prices: np.ndarray) -> float:
-    d2 = np.diff(prices) ** 2
-    return csum(d2 * d2)
+def _increments(series: TickSeries) -> _Increments:
+    # two threads that race here build two values with the same bits
+    if "_increments" not in series.__dict__:
+        object.__setattr__(series, "_increments", _Increments(series.prices))
+    return series._increments
 
 
-def _avg_rv(prices: np.ndarray, K: int) -> float:
-    # Mean over the K offset subgrids of the subgrid realized variance.
-    # The union of all within-subgrid consecutive pairs is exactly the
-    # lag-K differences starting at 0 .. K*(n//K - 1) - 1, so one pass
-    # over the leading lag-K differences reproduces the per-subgrid sum.
-    n = len(prices) - 1
-    if K == 1:
-        return _rv(prices)
-    m = n // K
-    keep = K * (m - 1)
-    dk = prices[K:keep + K] - prices[:keep]
-    return csum(dk * dk) / K
+# The row-wise two-scale kernel: a row is a run of m increments, the whole
+# series is one row (m = n), and block_estimates uses its n // m blocks.
+def _row_avg_rv(series: TickSeries, K: int, m: int) -> np.ndarray:
+    # Mean over the K offset subgrids of each row's subgrid realized
+    # variance.  Their consecutive pairs are exactly the row's lag-K
+    # differences starting at 0 .. K*(m//K - 1) - 1, so one sum per row.
+    keep = K * (m // K - 1)
+    rows = sliding_window_view(series.prices, m + 1)[:series.n // m * m:m]
+    dk = rows[:, K:keep + K] - rows[:, :keep]
+    return block_sums((dk * dk).ravel(), keep) / K
 
 
-def _modified_rv(prices: np.ndarray, K: int) -> float:
-    # Half-weighted edge realized variance: increments with left endpoint
-    # in [1, n-K] plus increments with left endpoint in [K, n-1], halved.
-    n = len(prices) - 1
-    d2 = np.diff(prices) ** 2
-    return 0.5 * (csum(d2[1:n - K + 1]) + csum(d2[K:n]))
+def _row_modified_rv(series: TickSeries, K: int, m: int) -> np.ndarray:
+    # Half-weighted edge realized variance: per row, increments with left
+    # endpoint in [1, m-K] plus those with left endpoint in [K, m-1], halved.
+    d2 = _increments(series).d2[:series.n // m * m].reshape(-1, m)
+    return 0.5 * (block_sums(d2[:, 1:m - K + 1].ravel(), m - K)
+                  + block_sums(d2[:, K:].ravel(), m - K))
 
 
-def _tsrv(prices: np.ndarray, K: int) -> float:
-    n = len(prices) - 1
-    return _avg_rv(prices, K) - (n - K + 1) / (n * K) * _rv(prices)
+def _tsrv(series: TickSeries, K: int) -> float:
+    n = series.n
+    return avg_rv(series, K) - (n - K + 1) / (n * K) * _increments(series).R
 
 
-def _wtsrv(prices: np.ndarray, K: int) -> float:
-    return _avg_rv(prices, K) - _modified_rv(prices, K) / K
-
-
-def _scale_diff(prices: np.ndarray, K: int) -> float:
-    # wtsrv - tsrv without the common subsampled term, so the difference
-    # is computed free of cancellation between two nearly equal numbers.
-    n = len(prices) - 1
-    return (n - K + 1) / (n * K) * _rv(prices) - _modified_rv(prices, K) / K
+def _wtsrv(series: TickSeries, K: int) -> float:
+    return avg_rv(series, K) - modified_rv(series, K) / K
 
 
 def realized_variance(series: TickSeries, indices=None) -> float:
@@ -128,19 +141,19 @@ def realized_variance(series: TickSeries, indices=None) -> float:
         If the grid is too short, out of range, or not strictly increasing.
     """
     if indices is None:
-        return _rv(series.prices)
+        return _increments(series).R
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) < 2:
         raise InvalidIndices("grid needs at least two indices")
     if idx[0] < 0 or idx[-1] > series.n or not (np.diff(idx) > 0).all():
         raise InvalidIndices("grid must be strictly increasing within [0, n]")
-    p = series.prices[idx]
-    return _rv(p)
+    d = np.diff(series.prices[idx])
+    return csum(d * d)
 
 
 def quarticity(series: TickSeries) -> float:
     """Sum of fourth powers of the full-grid price increments."""
-    return _quarticity(series.prices)
+    return _increments(series).Q
 
 
 def avg_rv(series: TickSeries, K: int) -> float:
@@ -156,9 +169,10 @@ def avg_rv(series: TickSeries, K: int) -> float:
         If ``K`` is not in ``[2, n/2]`` (``K = 1`` is allowed as the
         full-grid special case).
     """
-    if K != 1:
-        _check_K(K, series.n, series.n // 2)
-    return _avg_rv(series.prices, K)
+    if K == 1:
+        return _increments(series).R
+    _check_K(K, series.n, series.n // 2)
+    return _row_avg_rv(series, K, series.n).item()
 
 
 def modified_rv(series: TickSeries, K: int) -> float:
@@ -173,7 +187,7 @@ def modified_rv(series: TickSeries, K: int) -> float:
         If ``K`` is not in ``[2, n-1]``.
     """
     _check_K(K, series.n, series.n - 1)
-    return _modified_rv(series.prices, K)
+    return _row_modified_rv(series, K, series.n).item()
 
 
 def tsrv(series: TickSeries, K: int) -> float:
@@ -184,7 +198,7 @@ def tsrv(series: TickSeries, K: int) -> float:
     returned as-is because the stationarity tests consume the raw value.
     """
     _check_K(K, series.n, series.n // 2)
-    return _tsrv(series.prices, K)
+    return _tsrv(series, K)
 
 
 def wtsrv(series: TickSeries, K: int) -> float:
@@ -195,7 +209,7 @@ def wtsrv(series: TickSeries, K: int) -> float:
     variance drifts within the sample.  Same sign policy as :func:`tsrv`.
     """
     _check_K(K, series.n, series.n // 2)
-    return _wtsrv(series.prices, K)
+    return _wtsrv(series, K)
 
 
 def noise_moments(series: TickSeries) -> NoiseMoments:
@@ -215,9 +229,8 @@ def noise_moments(series: TickSeries) -> NoiseMoments:
     n = series.n
     if n < 4:
         raise InvalidIndices(f"noise moments need n >= 4, got n={n}")
-    d2 = np.diff(series.prices) ** 2
-    R = csum(d2)
-    Q = csum(d2 * d2)
+    inc = _increments(series)
+    R, Q = inc.R, inc.Q
     m2 = R / (2.0 * n)
     q4 = Q / (2.0 * n) - 3.0 * R * R / (4.0 * n * n)
     rad = (6.0 * Q * Q / n**2

@@ -14,7 +14,8 @@ import numpy as np
 
 from ._accum import block_sums, csum, window_sums
 from .errors import InvalidK, InvalidWindow
-from .stationarity import _block_diff_mean_sq
+from .estimators import _increments
+from .stationarity import block_diff_mean_sq
 from .ticks import TickSeries
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -48,6 +49,8 @@ def default_span(n: int, K: int) -> int:
 
 
 def _check_K(n: int, K: int) -> None:
+    if K < 1:
+        raise InvalidK(f"need K >= 1, got K={K}")
     if n // K < 3:
         raise InvalidK(f"need n//K >= 3 blocks, got {n // K}")
 
@@ -59,13 +62,6 @@ def _check_span(n: int, K: int, span: int) -> None:
                             f"n//K={r}")
 
 
-def _block_rv(series: TickSeries, K: int):
-    """Squared increments and their exact sums over blocks of ``K``."""
-    d = np.diff(series.prices)
-    d2 = d * d
-    return d2, block_sums(d2, K)
-
-
 def noise_qv(series: TickSeries, K: int) -> float:
     """Consistent estimate of the noise-variance quadratic variation.
 
@@ -74,14 +70,10 @@ def noise_qv(series: TickSeries, K: int) -> float:
     Raises
     ------
     InvalidK
-        If fewer than 3 blocks fit.
+        If ``K < 1`` or fewer than 3 blocks fit.
     """
     _check_K(series.n, K)
-    return _noise_qv(series.n, K, _block_rv(series, K)[1])
-
-
-def _noise_qv(n: int, K: int, rv_b: np.ndarray) -> float:
-    return 1.5 * n / (K * K) * _block_diff_mean_sq(rv_b, n)
+    return 1.5 * series.n / (K * K) * block_diff_mean_sq(series, K)
 
 
 def noise_qv_stderr(series: TickSeries, K: int, span: int):
@@ -103,11 +95,9 @@ def noise_qv_stderr(series: TickSeries, K: int, span: int):
         If ``span < 1`` or fewer than ``span + 1`` blocks fit.
     """
     _check_span(series.n, K, span)
-    return _noise_qv_stderr(K, span, *_block_rv(series, K))
-
-
-def _noise_qv_stderr(K: int, span: int, d2: np.ndarray, rv_b: np.ndarray):
-    q_b = block_sums(d2 * d2, K)
+    inc = _increments(series)
+    rv_b = inc.block_sums(K)
+    q_b = block_sums(inc.d2 * inc.d2, K)
 
     # windows i = 1..r-span of the sum of `span` consecutive squared steps
     win = window_sums(np.diff(rv_b) ** 2, span)
@@ -136,13 +126,11 @@ def liquidity_report(series: TickSeries, K: int | None = None,
     n = series.n
     if K is None:
         K = default_liquidity_K(n)
+    _check_K(n, K)
     if span is None:
         span = default_span(n, K)
-    _check_K(n, K)
-    _check_span(n, K, span)
-    d2, rv_b = _block_rv(series, K)
-    gg = _noise_qv(n, K, rv_b)
-    gamma, degenerate = _noise_qv_stderr(K, span, d2, rv_b)
+    gg = noise_qv(series, K)
+    gamma, degenerate = noise_qv_stderr(series, K, span)
     lo = gg - Z_95 * gamma
     hi = gg + Z_95 * gamma
     note = "ci_low below 0; the estimand is nonnegative" if lo < 0 else ""

@@ -95,8 +95,8 @@ def _run_rep(args):
     series, truth = simulate_observed(replace(config, seed=seed))
     row = {"n": series.n, "iv": truth.iv, "qv": truth.qv, "gg": truth.gg}
     kv = default_K(series.n, k_scale)
-    row["tsrv"] = _tsrv(series.prices, kv)
-    row["wtsrv"] = _wtsrv(series.prices, kv)
+    row["tsrv"] = _tsrv(series, kv)
+    row["wtsrv"] = _wtsrv(series, kv)
     for kind in tests:
         rep = run_test(series, kind, K=K, window=window)
         row[kind] = (rep.statistic, rep.p_value, rep.degenerate)
@@ -116,15 +116,9 @@ def run_study(spec: StudySpec) -> StudyResult:
     else:
         rows = [_run_rep(p) for p in payloads]
 
-    result = StudyResult(
-        spec=spec,
-        n=np.array([r["n"] for r in rows]),
-        tsrv=np.array([r["tsrv"] for r in rows]),
-        wtsrv=np.array([r["wtsrv"] for r in rows]),
-        iv=np.array([r["iv"] for r in rows]),
-        qv=np.array([r["qv"] for r in rows]),
-        gg=np.array([r["gg"] for r in rows]),
-    )
+    result = StudyResult(spec=spec, **{
+        key: np.array([r[key] for r in rows])
+        for key in ("n", "tsrv", "wtsrv", "iv", "qv", "gg")})
     for kind in spec.tests:
         result.stats[kind] = np.array([r[kind][0] for r in rows])
         result.pvals[kind] = np.array([r[kind][1] for r in rows])

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlockTooSmall, DegenerateDesign
-from .estimators import _rv, _wtsrv, default_K
+from .estimators import (_check_K, _increments, _row_avg_rv,
+                         _row_modified_rv, default_K)
 from .ticks import TickSeries
 
 
@@ -49,6 +50,8 @@ def block_estimates(series: TickSeries, m: int,
     Raises
     ------
     BlockTooSmall
+    InvalidK
+        If ``K`` is not in ``[2, m/2]``.
     """
     n = series.n
     if m < 64 or n // m < 3:
@@ -56,15 +59,11 @@ def block_estimates(series: TickSeries, m: int,
                             f"n//m={n // m}")
     if K is None:
         K = default_K(m)
-    rows = []
-    for i in range(n // m):
-        lo, hi = i * m, (i + 1) * m
-        p = series.prices[lo:hi + 1]
-        duration = series.times[hi] - series.times[lo]
-        sigma2 = _wtsrv(p, K) / duration
-        g = _rv(p) / (2.0 * m)
-        rows.append((series.times[lo], sigma2, g))
-    return np.array(rows)
+    _check_K(K, m, m // 2)
+    edges = series.times[:n // m * m + 1:m]
+    wtsrv = _row_avg_rv(series, K, m) - _row_modified_rv(series, K, m) / K
+    return np.column_stack((edges[:-1], wtsrv / np.diff(edges),
+                            _increments(series).block_sums(m) / (2.0 * m)))
 
 
 def ols(pairs: np.ndarray, log_log: bool = False) -> RegressionReport:

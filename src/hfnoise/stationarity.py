@@ -25,7 +25,8 @@ from scipy.stats import norm
 
 from ._accum import block_sums, csum, window_sums
 from .errors import InvalidConfig, InvalidK, InvalidWindow, NonFiniteStatistic
-from .estimators import _scale_diff, default_K, noise_moments
+from .estimators import (_increments, _row_modified_rv, default_K,
+                         noise_moments)
 from .ticks import TickSeries
 
 
@@ -97,16 +98,23 @@ def default_test_K(n: int, kind: str) -> int:
     return max(4, int(float(n) ** 0.6))
 
 
-def _window_contrasts(prices: np.ndarray, K: int, window: int,
+def _pooled_K(n: int, K: int | None) -> int:
+    # the step of V, Vprime and Vbar: the default, or a given K >= 1
+    if K is not None and K < 1:
+        raise InvalidK(f"need K >= 1, got K={K}")
+    return default_test_K(n, "V") if K is None else K
+
+
+def _window_contrasts(series: TickSeries, K: int, window: int,
                       starts) -> np.ndarray:
-    # sqrt(K) * _scale_diff on each window of `window` blocks, in closed
+    # sqrt(K) * (wtsrv - tsrv) on each window of `window` blocks, in closed
     # form from exact block sums: with d2 the squared increments, head the
     # RV of the window's first block, tail the RV of its last block less
     # that block's first d2, and RV_w the sum of the window's block RVs,
-    # scale_diff = (1/2 (d2_0 + head + tail) - (K-1) RV_w / (window K)) / K.
-    d2 = np.diff(prices) ** 2
-    rv = block_sums(d2, K)
-    first = d2[:len(rv) * K:K]
+    # wtsrv - tsrv = (1/2 (d2_0 + head + tail) - (K-1) RV_w / (window K)) / K.
+    inc = _increments(series)
+    rv = inc.block_sums(K)
+    first = inc.d2[:len(rv) * K:K]
     starts = np.asarray(starts, dtype=np.intp)
     last = starts + window - 1
     edges = block_sums(np.column_stack((first[starts], rv[starts], rv[last],
@@ -125,7 +133,7 @@ def overlap_mean_sq(series: TickSeries, K: int, window: int) -> float:
     if window < 2 or cnt < 1:
         raise InvalidWindow(f"need 2 <= window and n//K - window + 1 >= 1, "
                             f"got window={window}, n//K={r}")
-    devs = _window_contrasts(series.prices, K, window, range(cnt))
+    devs = _window_contrasts(series, K, window, range(cnt))
     return csum(devs * devs) / cnt
 
 
@@ -139,8 +147,7 @@ def nonoverlap_mean_sq(series: TickSeries, K: int, window: int) -> float:
     if window < 2 or cnt < 1:
         raise InvalidWindow(f"need 2 <= window and n//(window*K) >= 1, "
                             f"got window={window}, n//K={series.n // K}")
-    starts = [i * window for i in range(cnt)]
-    devs = _window_contrasts(series.prices, K, window, starts)
+    devs = _window_contrasts(series, K, window, range(0, cnt * window, window))
     return csum(devs * devs) / cnt
 
 
@@ -151,11 +158,7 @@ def block_diff_mean_sq(series: TickSeries, K: int) -> float:
     r = n // K
     if r < 2:
         raise InvalidWindow(f"need at least 2 blocks, got n//K={r}")
-    return _block_diff_mean_sq(block_sums(np.diff(series.prices) ** 2, K), n)
-
-
-def _block_diff_mean_sq(rv_blocks: np.ndarray, n: int) -> float:
-    steps = np.diff(rv_blocks)
+    steps = np.diff(_increments(series).block_sums(K))
     return csum(steps * steps) / (4.0 * n)
 
 
@@ -187,7 +190,9 @@ def edge_test(series: TickSeries, K: int | None = None) -> TestReport:
     if not 4 <= K <= n // 2:
         raise InvalidK(f"need 4 <= K <= n/2, got K={K}, n={n}")
     nm = noise_moments(series)
-    num = math.sqrt(K) * _scale_diff(series.prices, K)
+    # wtsrv - tsrv without their common subsampled term: no cancellation
+    num = math.sqrt(K) * ((n - K + 1) / (n * K) * _increments(series).R
+                          - _row_modified_rv(series, K, n).item() / K)
     denom = math.sqrt(nm.q2sum_hat) if nm.q2sum_hat > 0.0 else 0.0
     inter = {"scale_diff": num, "q2sum_hat": nm.q2sum_hat,
              "m2_hat": nm.m2_hat}
@@ -206,22 +211,19 @@ def window_test(series: TickSeries, K: int | None = None,
                 window: int | None = None) -> TestReport:
     """Overlapping-window stationarity test (kind ``V``)."""
     n = series.n
-    if K is None:
-        K = default_test_K(n, "V")
+    K = _pooled_K(n, K)
     if window is None:
         window = default_window(n, K)
     pooled = overlap_mean_sq(series, K, window)
-    count = n // K - window + 1
     return _pooled_test(series, K, window, "V", pooled, math.sqrt(n / K),
-                        count)
+                        n // K - window + 1)
 
 
 def window_test_nonoverlap(series: TickSeries, K: int | None = None,
                            window: int | None = None) -> TestReport:
     """Non-overlapping-window stationarity test (kind ``Vprime``)."""
     n = series.n
-    if K is None:
-        K = default_test_K(n, "V")
+    K = _pooled_K(n, K)
     if window is None:
         window = default_window(n, K)
     pooled = nonoverlap_mean_sq(series, K, window)
@@ -232,8 +234,7 @@ def window_test_nonoverlap(series: TickSeries, K: int | None = None,
 def block_test(series: TickSeries, K: int | None = None) -> TestReport:
     """Consecutive-block stationarity test (kind ``Vbar``)."""
     n = series.n
-    if K is None:
-        K = default_test_K(n, "V")
+    K = _pooled_K(n, K)
     pooled = block_diff_mean_sq(series, K)
     return _pooled_test(series, K, None, "Vbar", pooled, math.sqrt(n / K),
                         n // K - 1)

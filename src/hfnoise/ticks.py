@@ -32,7 +32,9 @@ class TickSeries:
         Log prices, same length as ``times``.
 
     The series is immutable after construction and safe to share across
-    threads.  ``n`` counts increments, i.e. ``len(times) - 1``.
+    threads: its derived increments are computed once, on first use, and
+    a race computes the same bits twice.  ``n`` counts increments, i.e.
+    ``len(times) - 1``.
     """
 
     times: np.ndarray

@@ -3,7 +3,11 @@
 ``fsum_block_sums`` and ``slice_window_contrasts`` are the summation
 layer and the window statistic as they were before the exact vectorized
 accumulator: every sum is ``math.fsum`` over a list, and every window is
-re-sliced and re-summed.  ``euler_kernel`` and ``ou_kernel`` are the
+re-sliced and re-summed.  ``avg_rv``, ``modified_rv``, ``wtsrv`` and
+``block_estimates`` are the two-scale estimators on a price array and the
+block regression's loop over blocks, as they were before the row-wise
+kernel over shared squared increments; ``hfnoise.regress.block_estimates``
+must match them bit for bit.  ``euler_kernel`` and ``ou_kernel`` are the
 simulator's path recursions as one scalar step per array element; the
 sliced kernels in ``hfnoise.simulate`` must match them bit for bit.
 """
@@ -79,6 +83,45 @@ def noise_qv_stderr(series, K, span):
                  + 13.0 / K**4 * rv_b**4)
     term2 = 27.0 / (8.0 * K * K) * math.fsum(per_block.tolist())
     return math.sqrt(max(term1 + term2, 0.0))
+
+
+def rv(prices):
+    d = np.diff(prices)
+    return math.fsum((d * d).tolist())
+
+
+def avg_rv(prices, K):
+    """Mean subgrid realized variance as a sum of the leading lag-K
+    squared differences."""
+    n = len(prices) - 1
+    if K == 1:
+        return rv(prices)
+    keep = K * (n // K - 1)
+    dk = prices[K:keep + K] - prices[:keep]
+    return math.fsum((dk * dk).tolist()) / K
+
+
+def modified_rv(prices, K):
+    n = len(prices) - 1
+    d2 = (np.diff(prices) ** 2).tolist()
+    return 0.5 * (math.fsum(d2[1:n - K + 1]) + math.fsum(d2[K:n]))
+
+
+def wtsrv(prices, K):
+    return avg_rv(prices, K) - modified_rv(prices, K) / K
+
+
+def block_estimates(series, m, K):
+    """(start time, wtsrv / duration, RV / (2m)) per block of ``m``
+    increments, one block at a time."""
+    rows = []
+    for i in range(series.n // m):
+        lo, hi = i * m, (i + 1) * m
+        p = series.prices[lo:hi + 1]
+        duration = series.times[hi] - series.times[lo]
+        rows.append((series.times[lo], wtsrv(p, K) / duration,
+                     rv(p) / (2.0 * m)))
+    return np.array(rows)
 
 
 def euler_kernel(x0, s20, mu, kappa, sbar2, delta, dt, floor,

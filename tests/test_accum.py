@@ -246,7 +246,7 @@ def test_window_means_match_oracle(series):
 def test_contrasts_match_window_contrast(series):
     K, w = 300, 5
     starts = [0, 3, series.n // K - w]
-    got = stationarity._window_contrasts(series.prices, K, w, starts)
+    got = stationarity._window_contrasts(series, K, w, starts)
     want = oracles.slice_window_contrasts(series.prices, K, w, starts)
     for c, v in zip(got, want):
         assert c == pytest.approx(v, rel=1e-9, abs=1e-15)

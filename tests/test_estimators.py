@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hfnoise import InvalidIndices, InvalidK
+from hfnoise import (InvalidIndices, InvalidK, SimConfig, TickSeries,
+                     estimators, fit_blocks, liquidity_report, run_test,
+                     simulate_observed)
+from hfnoise._accum import csum
 from hfnoise.estimators import (avg_rv, default_K, modified_rv, noise_moments,
                                 quarticity, realized_variance, tsrv, wtsrv)
 
+import oracles
 from conftest import make_series, noise_series
 
 A0 = 5e-3
@@ -262,3 +266,84 @@ class TestInvariances:
         d2 = np.diff(prices) ** 2
         edge_mod = 0.5 * (d2[0] + d2[-1] + d2[K - 1] + d2[n - K])
         assert abs(modified_rv(rev, K) - modified_rv(fwd, K)) <= edge_mod + 1e-15
+
+
+class TestSharedIncrements:
+    """Each series derives its squared increments, their sums R and Q and
+    their block sums once, and every analysis reads them."""
+
+    KINDS = ("N", "V", "Vprime", "Vbar")
+
+    @pytest.fixture(scope="class")
+    def day(self):
+        series, _ = simulate_observed(SimConfig(days=1, noise_kind="ushape",
+                                                seed=17))
+        return series
+
+    @staticmethod
+    def fingerprint(reports, liq, fit, w):
+        return ([repr(r) for r in reports], repr(liq), fit.pairs.tobytes(),
+                repr((fit.beta_hat, fit.alpha_hat, fit.r_squared)), repr(w))
+
+    def test_order_of_the_pass_changes_no_bit(self, day):
+        a = TickSeries(day.times, day.prices)
+        b = TickSeries(day.times, day.prices)
+        K = default_K(day.n)
+        forward = self.fingerprint([run_test(a, k) for k in self.KINDS],
+                                   liquidity_report(a), fit_blocks(a, 600),
+                                   wtsrv(a, K))
+        # the reverse order, with other block sizes asked for in between
+        w = wtsrv(b, K)
+        fit = fit_blocks(b, 600)
+        liq = liquidity_report(b)
+        reports = []
+        for k in reversed(self.KINDS):
+            run_test(b, "Vbar", K=40)
+            reports.insert(0, run_test(b, k))
+        assert self.fingerprint(reports, liq, fit, w) == forward
+
+    def test_whole_series_estimators_match_price_oracles(self, day):
+        for K in (1, 2, 17, default_K(day.n), day.n // 2):
+            assert avg_rv(day, K) == oracles.avg_rv(day.prices, K)
+        for K in (2, 17, default_K(day.n), day.n - 1):
+            assert modified_rv(day, K) == oracles.modified_rv(day.prices, K)
+        for K in (2, 17, default_K(day.n), day.n // 2):
+            assert wtsrv(day, K) == oracles.wtsrv(day.prices, K)
+            assert estimators._wtsrv(day, K) == wtsrv(day, K)
+            assert estimators._tsrv(day, K) == tsrv(day, K)
+        assert realized_variance(day) == oracles.rv(day.prices)
+
+    def test_cached_values_are_read_only(self):
+        s = noise_series(1000, seed=1)
+        noise_moments(s)
+        inc = estimators._increments(s)
+        assert estimators._increments(s) is inc
+        with pytest.raises(ValueError):
+            inc.d2[0] = 1.0
+        with pytest.raises(ValueError):
+            inc.block_sums(10)[0] = 1.0
+
+    def test_one_pass_differences_and_sums_once(self, day, monkeypatch):
+        s = TickSeries(day.times, day.prices)
+        diffs, sums = [], []
+        real_diff = np.diff
+
+        def counting_diff(a, *args, **kwargs):
+            if np.shape(a) == s.prices.shape:
+                diffs.append(a is s.prices)
+            return real_diff(a, *args, **kwargs)
+
+        def counting_csum(values):
+            sums.append(len(values))
+            return csum(values)
+
+        monkeypatch.setattr(np, "diff", counting_diff)
+        monkeypatch.setattr(estimators, "csum", counting_csum)
+        for _ in range(2):
+            for k in self.KINDS:
+                run_test(s, k)
+            liquidity_report(s)
+            fit_blocks(s, 600)
+            wtsrv(s, default_K(s.n))
+        assert diffs == [True]
+        assert sums == [s.n, s.n]

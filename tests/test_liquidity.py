@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidK, InvalidWindow, liquidity, liquidity_report,
-                     noise_moments)
+from hfnoise import (InvalidK, InvalidWindow, TickSeries, estimators,
+                     liquidity, liquidity_report, noise_moments)
 from hfnoise._accum import block_sums
 from hfnoise.liquidity import (Z_95, default_liquidity_K, default_span,
                                noise_qv, noise_qv_stderr)
@@ -114,8 +114,9 @@ class TestReport:
                 assert np.isfinite(v)
 
     def test_block_sums_shared(self, monkeypatch):
-        # one pass of block sums over d2 and one over d2*d2, and the same
-        # bits as the two public estimators computed separately
+        # on a fresh series, one pass of block sums over d2 and one over
+        # d2*d2, and the same bits as the two public estimators computed
+        # separately
         s = noise_series(20000, seed=8)
         K, span = 300, 4
         gg = noise_qv(s, K)
@@ -126,8 +127,9 @@ class TestReport:
             summed.append(len(values))
             return block_sums(values, size)
 
+        monkeypatch.setattr(estimators, "block_sums", counting)
         monkeypatch.setattr(liquidity, "block_sums", counting)
-        rep = liquidity_report(s, K, span)
+        rep = liquidity_report(TickSeries(s.times, s.prices), K, span)
         assert summed == [s.n, s.n]
         assert (rep.gg_hat, rep.gamma_hat, rep.degenerate) == (
             gg, gamma, degenerate)
@@ -138,3 +140,13 @@ class TestReport:
             liquidity_report(s, K=40, span=0)
         with pytest.raises(InvalidWindow):
             liquidity_report(s, K=10, span=10)
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_nonpositive_K_is_invalid(self, K):
+        s = noise_series(1000, seed=9)
+        with pytest.raises(InvalidK):
+            liquidity_report(s, K=K)
+        with pytest.raises(InvalidK):
+            liquidity_report(s, K=K, span=2)
+        with pytest.raises(InvalidK):
+            noise_qv(s, K)

@@ -260,6 +260,46 @@ class TestCli:
         assert "unknown test kind 'X'" in capsys.readouterr().err
         assert calls == []
 
+    def test_test_kinds_are_stripped(self, tmp_path, capsys):
+        sim = str(tmp_path / "sim")
+        self.run("--seed", "11", "--out", sim, "simulate", "--avg-dt", "10")
+        capsys.readouterr()
+        shown = []
+        for name, kinds in (("a.csv", "N,V"), ("b.csv", "N, V")):
+            out_csv = str(tmp_path / name)
+            assert self.run("--out", out_csv, "test", "--input",
+                            sim + ".csv", "--tests", kinds) == 0
+            shown.append(capsys.readouterr().out)
+        assert shown[0] == shown[1]
+        assert len(shown[0].splitlines()) == 3
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    def test_mc_kinds_are_stripped(self, tmp_path, capsys):
+        outs = []
+        for name, kinds in (("a", "N,V"), ("b", " N , V")):
+            out = str(tmp_path / name)
+            assert self.run("--seed", "5", "--out", out, "mc",
+                            "--scenario", "custom", "--reps", "2",
+                            "--tests", kinds, "--set", "avg_dt_seconds=30",
+                            "--config", "/dev/null") == 0
+            outs.append(capsys.readouterr().out.replace(out, ""))
+            outs.append((tmp_path / name / "stats.csv").read_bytes())
+        assert outs[0] == outs[2] and outs[1] == outs[3]
+        assert outs[1].splitlines()[0] == b"rep,n,stat_N,p_N,stat_V,p_V"
+
+    @pytest.mark.parametrize("argv", [["test", "--tests", "V", "--K", "0"],
+                                      ["test", "--tests", "Vbar", "--K", "-3"],
+                                      ["liquidity", "--K", "0"]])
+    def test_nonpositive_K_fails_cleanly(self, tmp_path, capsys, argv):
+        sim = str(tmp_path / "sim")
+        self.run("--seed", "9", "--out", sim, "simulate", "--avg-dt", "5")
+        capsys.readouterr()
+        code = self.run(argv[0], "--input", sim + ".csv", *argv[1:])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidK: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("line", ["days=2", "days = 2",
                                       "  noise_kind =ushape ", "a1= 2e-4"])
     def test_set_item_parses_like_config_file_line(self, tmp_path, line):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hfnoise import (BlockTooSmall, DegenerateDesign, SimConfig,
-                     block_estimates, fit_blocks, ols, simulate_observed)
+from hfnoise import (BlockTooSmall, DegenerateDesign, InvalidK, SimConfig,
+                     TickSeries, block_estimates, default_K, fit_blocks, ols,
+                     simulate_observed)
 from hfnoise.simulate import DT_YEARS, STEPS_PER_DAY, simulate_latent
 
+import oracles
 from conftest import make_series, noise_series
 
 
@@ -63,6 +65,31 @@ class TestBlockEstimates:
             block_estimates(s, 32)       # m < 64
         with pytest.raises(BlockTooSmall):
             block_estimates(s, 200)      # fewer than 3 blocks
+
+    @pytest.mark.parametrize("m", [64, 600, 23400])
+    def test_matches_per_block_oracle_bit_for_bit(self, m):
+        # n is no multiple of m, times are irregular, and at m = 23400 the
+        # rows are longer than one summation slice
+        rng = np.random.default_rng(m)
+        n = 3 * 23400 + 517
+        times = np.cumsum(rng.uniform(0.5, 1.5, n + 1)) / 5.9e6
+        prices = 4.6 + np.cumsum(rng.standard_normal(n + 1)) * 1e-4 \
+            + rng.standard_normal(n + 1) * 5e-4
+        s = TickSeries(times, prices)
+        for K in (None, 7, m // 2):
+            got = block_estimates(s, m, K=K)
+            want = oracles.block_estimates(s, m, default_K(m) if K is None
+                                           else K)
+            assert got.shape == (n // m, 3)
+            assert got.tobytes() == want.tobytes(), K
+
+    @pytest.mark.parametrize("K", [1, 301, 700, 5000])
+    def test_explicit_K_checked_against_block_length(self, K):
+        s = noise_series(23400, seed=3)
+        with pytest.raises(InvalidK):
+            block_estimates(s, 600, K=K)
+        with pytest.raises(InvalidK):
+            fit_blocks(s, 600, K=K)
 
     def test_noise_level_recovered_per_block(self):
         # hat g = RV / (2m) estimates the noise variance

@@ -70,16 +70,17 @@ class TestWindowContrast:
     # _window_contrasts takes 0-based block starts; the oracle re-slices
     # each window as a standalone series.
     def test_constant_zero(self):
-        p = make_series([1.0] * 41).prices
-        assert _window_contrasts(p, 4, 3, [0]).tolist() == [0.0]
-        assert oracles.slice_window_contrasts(p, 4, 3, [0]).tolist() == [0.0]
+        s = make_series([1.0] * 41)
+        assert _window_contrasts(s, 4, 3, [0]).tolist() == [0.0]
+        assert oracles.slice_window_contrasts(s.prices, 4, 3,
+                                              [0]).tolist() == [0.0]
 
     def test_full_range_matches_global_difference(self, rng):
         # with n = r*K the full-span window reproduces the whole series
         prices = rng.standard_normal(8 * 25 + 1)
         s = make_series(prices)
         want = math.sqrt(25) * (wtsrv(s, 25) - tsrv(s, 25))
-        for d in (_window_contrasts(prices, 25, 8, [0])[0],
+        for d in (_window_contrasts(s, 25, 8, [0])[0],
                   oracles.slice_window_contrasts(prices, 25, 8, [0])[0]):
             assert d == pytest.approx(want, rel=1e-10)
 
@@ -90,7 +91,7 @@ class TestWindowContrast:
         K = 200
         r = s.n // K
         w = 20
-        devs = _window_contrasts(s.prices, K, w, range(r - w + 1))
+        devs = _window_contrasts(s, K, w, range(r - w + 1))
         q = 3 * A0**4
         pooled = devs.mean() ** 2 + devs.var()
         assert pooled == pytest.approx(2 * q, rel=0.35)
@@ -164,6 +165,12 @@ class TestReports:
     def test_unknown_kind_is_a_config_error(self, kind):
         with pytest.raises(InvalidConfig, match="unknown test kind"):
             run_test(noise_series(400, seed=1), kind)
+
+    @pytest.mark.parametrize("kind", ["N", "V", "Vprime", "Vbar"])
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_nonpositive_K_is_invalid(self, kind, K):
+        with pytest.raises(InvalidK):
+            run_test(noise_series(4000, seed=2), kind, K=K)
 
     def test_edge_test_matches_components(self):
         s = noise_series(5000, seed=9)
