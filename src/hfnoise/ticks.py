@@ -4,8 +4,16 @@ A :class:`TickSeries` is the single source of truth for observation times
 and log prices.  Times are stored in years (one trading day is 23 400
 seconds and one business day is 1/252 year); prices are stored as log
 prices.  Raw-price and seconds-based CSV files are converted on load.
+
+:func:`load_csv` parses in two tiers over the same split lines.  numpy's
+C reader parses well-formed data; ``_parse_rows``, a per-line ``float()``
+loop, runs only on input the C reader refuses, such as malformed rows or
+numbers only ``float()`` reads (``1_0``).  Both round correctly, so the
+tiers agree bit for bit, and the line loop is the one source of parse
+errors and their line numbers.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,46 +110,106 @@ def _parse_rows(lines):
     return rows
 
 
+def _read_text(source):
+    """The text of ``source``: a ``str`` holding a line break is the text
+    itself, any other ``str`` or path names a file."""
+    if isinstance(source, str) and ("\n" in source or "\r" in source):
+        return source
+    if isinstance(source, bytes):
+        data = source
+    elif hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the prefix before the first bad byte decodes; "x" stands in for
+        # that byte so a line break just before it still counts
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(lineno, f"not UTF-8 text: {exc.reason} at byte "
+                                   f"{exc.start}") from None
+
+
+def _parse_fast(lines):
+    """The data rows of ``lines`` as an (r, 2) float64 array, parsed by
+    numpy's C reader, or None when the C reader refuses them or finds
+    fewer than 2 rows; the caller then runs ``_parse_rows``.
+
+    Where the C reader accepts, it reads the same numbers as
+    ``_parse_rows``: both skip empty lines, split at commas and round
+    decimal strings correctly.  Three differences are routed away before
+    it runs.  Its newline rules differ from ``str.splitlines``, so it sees
+    the split lines joined by LF, never the raw file.  It strips
+    U+001C..U+001F from the ends of fields, where ``float()`` refuses
+    them; ``splitlines`` already breaks lines at the first three, so a
+    body holding U+001F goes to the line loop.  It emits a ``UserWarning``
+    on a body without data, so such a body never reaches it.
+    """
+    for h, line in enumerate(lines):
+        if h == 0:
+            line = line.removeprefix("\ufeff")  # UTF-8 byte-order mark
+        if line.strip():
+            break
+    else:
+        return None
+    if line.strip().replace(" ", "") != _HEADER:
+        return None
+    body = "\n".join(lines[h + 1:])
+    if not body or body.isspace() or "\x1f" in body:
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 2 or len(rows) < 2:
+        return None
+    return rows
+
+
 def load_csv(source, time_unit: str = "yr", price_scale: str = "log") -> TickSeries:
     """Load a ``time,price`` CSV into a validated :class:`TickSeries`.
 
     Parameters
     ----------
     source : str, path, bytes or file-like
-        UTF-8 text with header ``time,price`` and one record per line.
+        UTF-8 text, optionally starting with a byte-order mark, with header
+        ``time,price`` and one record per line.  Lines end in LF, CRLF or
+        CR; blank lines and spaces or tabs around fields are allowed.  A
+        ``str`` holding a line break is read as the text itself.
     time_unit : {'yr', 'sec'}
         Seconds-from-midnight inputs are converted to years.
     price_scale : {'log', 'raw'}
         Raw prices are log-transformed on load.
 
     Rows are sorted by time if needed; duplicate timestamps keep the last
-    record (last trade wins).
+    record (last trade wins).  Well-formed data is parsed by numpy's C
+    reader; input it refuses is parsed again line by line with
+    ``float()``, which returns the same rows or raises the line's error.
 
     Raises
     ------
-    MalformedRow, FewerThanTwoTicks, NonFiniteValue
+    MalformedRow
+        A missing or wrong header, a row without exactly two decimal
+        fields, or bytes that are not UTF-8; ``line_number`` is the
+        1-based line that holds the fault.
+    FewerThanTwoTicks, NonFiniteValue
     """
     _check_units(time_unit, price_scale)
 
-    if isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    lines = _read_text(source).splitlines()
+    rows = _parse_fast(lines)
+    if rows is None:
+        parsed = _parse_rows(lines)
+        if len(parsed) < 2:
+            raise FewerThanTwoTicks(f"need at least 2 records, got {len(parsed)}")
+        rows = np.array(parsed, dtype=np.float64)
 
-    rows = _parse_rows(lines)
-    if len(rows) < 2:
-        raise FewerThanTwoTicks(f"need at least 2 records, got {len(rows)}")
-
-    times = np.array([r[0] for r in rows])
-    prices = np.array([r[1] for r in rows])
+    times, prices = rows.T
     if not (np.isfinite(times).all() and np.isfinite(prices).all()):
         raise NonFiniteValue("input contains NaN or infinity")
 

@@ -350,3 +350,13 @@ class TestCli:
         code = self.run("test", "--input", str(path))
         assert code == 1
         assert "FewerThanTwoTicks" in capsys.readouterr().err
+
+    def test_latin1_file_fails_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("time,price\n0.0,1.0\n1.0,2.0 \xa3\n"
+                         .encode("latin-1"))
+        code = self.run("test", "--input", str(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: MalformedRow: line 3: not UTF-8")
