@@ -8,9 +8,8 @@ from hfnoise import (InvalidConfig, InvalidK, InvalidWindow,
                      NonFiniteStatistic, noise_moments, run_test, tsrv, wtsrv)
 from hfnoise.stationarity import (_window_contrasts, block_diff_mean_sq,
                                   block_test, default_window, edge_test,
-                                  log_p_value, nonoverlap_mean_sq,
-                                  overlap_mean_sq, p_value, window_test,
-                                  window_test_nonoverlap)
+                                  log_p_value, p_value, window_mean_sq,
+                                  window_test, window_test_nonoverlap)
 
 import oracles
 from conftest import make_series, noise_series
@@ -100,8 +99,8 @@ class TestWindowContrast:
 class TestPooledMeans:
     def test_constant_zero(self):
         s = make_series([2.0] * 81)
-        assert overlap_mean_sq(s, 4, 2) == 0.0
-        assert nonoverlap_mean_sq(s, 4, 2) == 0.0
+        assert window_mean_sq(s, 4, 2, 1) == 0.0
+        assert window_mean_sq(s, 4, 2, 2) == 0.0
         assert block_diff_mean_sq(s, 4) == 0.0
 
     def test_window_counts_by_enumeration(self, rng):
@@ -111,10 +110,10 @@ class TestPooledMeans:
         prices = rng.standard_normal(4 * K + 1)
         s = make_series(prices)
         devs = oracles.slice_window_contrasts(prices, K, 2, [0, 1, 2])
-        assert overlap_mean_sq(s, K, 2) == pytest.approx(
+        assert window_mean_sq(s, K, 2, 1) == pytest.approx(
             np.mean(np.square(devs)), rel=1e-12)
         devs_no = oracles.slice_window_contrasts(prices, K, 2, [0, 2])
-        assert nonoverlap_mean_sq(s, K, 2) == pytest.approx(
+        assert window_mean_sq(s, K, 2, 2) == pytest.approx(
             np.mean(np.square(devs_no)), rel=1e-12)
 
     def test_block_diff_by_enumeration(self, rng):
@@ -138,16 +137,16 @@ class TestPooledMeans:
         a = make_series(prices)
         warped = np.cumsum(rng.uniform(0.2, 3.0, size=201))
         b = make_series(prices, warped)
-        assert overlap_mean_sq(a, 10, 3) == overlap_mean_sq(b, 10, 3)
+        assert window_mean_sq(a, 10, 3, 1) == window_mean_sq(b, 10, 3, 1)
 
     def test_invalid_windows(self):
         s = make_series(np.arange(41.0))
         with pytest.raises(InvalidWindow):
-            overlap_mean_sq(s, 10, 1)
+            window_mean_sq(s, 10, 1, 1)
         with pytest.raises(InvalidWindow):
-            overlap_mean_sq(s, 10, 5)
+            window_mean_sq(s, 10, 5, 1)
         with pytest.raises(InvalidWindow):
-            nonoverlap_mean_sq(s, 10, 5)
+            window_mean_sq(s, 10, 5, 5)
         with pytest.raises(InvalidWindow):
             block_diff_mean_sq(s, 40)
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfnoise import (FewerThanTwoTicks, HFNoiseError, MalformedRow,
@@ -343,6 +343,8 @@ def simulated_day():
 class TestTwoTierParse:
     @settings(max_examples=400, deadline=None)
     @given(wild_exports())
+    # times whose differences overflow float64
+    @example((b"time,price\n1e308,0.0\n-8e307,0.0\n", False))
     def test_differential_against_line_loop(self, export):
         assert_parses_like_line_loop(*export)
 
@@ -401,6 +403,25 @@ class TestRoundTrip:
         back = load_csv(path)
         assert np.array_equal(back.times, series.times)
         assert np.array_equal(back.prices, series.prices)
+
+    def test_bytes_match_one_row_at_a_time(self, rng):
+        # awkward values, and more rows than one formatted slice
+        awkward = [-0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3,
+                   -1e-5, 1e16, 2.0**53 + 2, 123456789.98765432, -1e308,
+                   1.7976931348623157e308, 4.605170185988092]
+        n = ticks._WRITE_ROWS + len(awkward) + 1
+        times = np.concatenate(
+            (np.linspace(-1.7e308, -1.1e308, n - len(awkward)),
+             sorted(awkward)))
+        prices = np.resize(awkward, n)
+        rng.shuffle(prices)
+        s = TickSeries(times, prices)
+        buf = io.StringIO()
+        write_csv(s, buf)
+        want = "time,price\n" + "".join(
+            f"{t:.17g},{p:.17g}\n" for t, p in zip(times.tolist(),
+                                                  prices.tolist()))
+        assert buf.getvalue() == want
 
     def test_roundtrip_in_seconds(self, rng):
         times = np.cumsum(rng.uniform(0.5, 2.0, size=100)) / SECONDS_PER_YEAR
