@@ -98,17 +98,12 @@ def cmd_test(args) -> int:
 
 
 def _write_stats_csv(path, result, kinds):
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["rep", "n"]
-        for kind in kinds:
-            cols += [f"stat_{kind}", f"p_{kind}"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(result.n)):
-            row = [str(i), str(int(result.n[i]))]
-            for kind in kinds:
-                row += [_fmt(result.stats[kind][i]),
-                        _fmt(result.pvals[kind][i])]
-            fh.write(",".join(row) + "\n")
+    names, cols = ["rep", "n"], [np.arange(len(result.n)), result.n]
+    for kind in kinds:
+        names += [f"stat_{kind}", f"p_{kind}"]
+        cols += [result.stats[kind], result.pvals[kind]]
+    np.savetxt(path, np.column_stack(cols), delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
 
 
 def cmd_mc(args) -> int:

@@ -30,7 +30,7 @@ class InvalidK(HFNoiseError):
 
 
 class InvalidIndices(HFNoiseError):
-    """A sampling grid is not a strictly increasing index sequence in [0, n]."""
+    """Too few increments for the noise moments, which need n >= 4."""
 
 
 class InvalidWindow(HFNoiseError):

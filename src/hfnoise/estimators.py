@@ -40,9 +40,10 @@ class NoiseMoments:
     degenerate: bool
 
 
-def _check_K(K: int, n: int, hi: int):
-    if not 2 <= K <= hi:
-        raise InvalidK(f"need 2 <= K <= {hi}, got K={K} for n={n}")
+def _check_K(K: int, n: int, lo: int, hi: int):
+    # the one admissibility rule for a step or block size K
+    if not lo <= K <= hi:
+        raise InvalidK(f"need {lo} <= K <= {hi}, got K={K} for n={n}")
 
 
 def default_K(n: int, c: float = 1.0) -> int:
@@ -125,30 +126,9 @@ def _wtsrv(series: TickSeries, K: int) -> float:
     return avg_rv(series, K) - modified_rv(series, K) / K
 
 
-def realized_variance(series: TickSeries, indices=None) -> float:
-    """Sum of squared price differences between consecutive grid neighbours.
-
-    Parameters
-    ----------
-    series : TickSeries
-    indices : sequence of int, optional
-        Strictly increasing tick indices in ``[0, n]`` defining the
-        sampling grid; defaults to the full grid.
-
-    Raises
-    ------
-    InvalidIndices
-        If the grid is too short, out of range, or not strictly increasing.
-    """
-    if indices is None:
-        return _increments(series).R
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or len(idx) < 2:
-        raise InvalidIndices("grid needs at least two indices")
-    if idx[0] < 0 or idx[-1] > series.n or not (np.diff(idx) > 0).all():
-        raise InvalidIndices("grid must be strictly increasing within [0, n]")
-    d = np.diff(series.prices[idx])
-    return csum(d * d)
+def realized_variance(series: TickSeries) -> float:
+    """Sum of squared full-grid price increments."""
+    return _increments(series).R
 
 
 def quarticity(series: TickSeries) -> float:
@@ -171,7 +151,7 @@ def avg_rv(series: TickSeries, K: int) -> float:
     """
     if K == 1:
         return _increments(series).R
-    _check_K(K, series.n, series.n // 2)
+    _check_K(K, series.n, 2, series.n // 2)
     return _row_avg_rv(series, K, series.n).item()
 
 
@@ -186,7 +166,7 @@ def modified_rv(series: TickSeries, K: int) -> float:
     InvalidK
         If ``K`` is not in ``[2, n-1]``.
     """
-    _check_K(K, series.n, series.n - 1)
+    _check_K(K, series.n, 2, series.n - 1)
     return _row_modified_rv(series, K, series.n).item()
 
 
@@ -197,7 +177,7 @@ def tsrv(series: TickSeries, K: int) -> float:
     full-grid realized variance.  May be negative in finite samples;
     returned as-is because the stationarity tests consume the raw value.
     """
-    _check_K(K, series.n, series.n // 2)
+    _check_K(K, series.n, 2, series.n // 2)
     return _tsrv(series, K)
 
 
@@ -208,7 +188,7 @@ def wtsrv(series: TickSeries, K: int) -> float:
     correction, which keeps the estimator unbiased when the noise
     variance drifts within the sample.  Same sign policy as :func:`tsrv`.
     """
-    _check_K(K, series.n, series.n // 2)
+    _check_K(K, series.n, 2, series.n // 2)
     return _wtsrv(series, K)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import block_sums, csum, window_sums
-from .errors import InvalidK, InvalidWindow
-from .estimators import _increments
+from .errors import InvalidWindow
+from .estimators import _check_K, _increments
 from .stationarity import block_diff_mean_sq
 from .ticks import TickSeries
 
@@ -48,13 +48,6 @@ def default_span(n: int, K: int) -> int:
     return max(1, int(math.sqrt(n / K)))
 
 
-def _check_K(n: int, K: int) -> None:
-    if K < 1:
-        raise InvalidK(f"need K >= 1, got K={K}")
-    if n // K < 3:
-        raise InvalidK(f"need n//K >= 3 blocks, got {n // K}")
-
-
 def _check_span(n: int, K: int, span: int) -> None:
     r = n // K
     if span < 1 or r < span + 1:
@@ -72,7 +65,7 @@ def noise_qv(series: TickSeries, K: int) -> float:
     InvalidK
         If ``K < 1`` or fewer than 3 blocks fit.
     """
-    _check_K(series.n, K)
+    _check_K(K, series.n, 1, series.n // 3)
     return 1.5 * series.n / (K * K) * block_diff_mean_sq(series, K)
 
 
@@ -126,10 +119,9 @@ def liquidity_report(series: TickSeries, K: int | None = None,
     n = series.n
     if K is None:
         K = default_liquidity_K(n)
-    _check_K(n, K)
+    gg = noise_qv(series, K)   # checks K before default_span divides by it
     if span is None:
         span = default_span(n, K)
-    gg = noise_qv(series, K)
     gamma, degenerate = noise_qv_stderr(series, K, span)
     lo = gg - Z_95 * gamma
     hi = gg + Z_95 * gamma

@@ -59,7 +59,7 @@ def block_estimates(series: TickSeries, m: int,
                             f"n//m={n // m}")
     if K is None:
         K = default_K(m)
-    _check_K(K, m, m // 2)
+    _check_K(K, m, 2, m // 2)
     edges = series.times[:n // m * m + 1:m]
     wtsrv = _row_avg_rv(series, K, m) - _row_modified_rv(series, K, m) / K
     return np.column_stack((edges[:-1], wtsrv / np.diff(edges),

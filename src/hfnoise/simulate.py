@@ -456,8 +456,8 @@ def simulate_observed(config: SimConfig, rng: np.random.Generator | None = None)
 _CONFIG_FIELDS = {f.name: f for f in fields(SimConfig)}
 
 
-def config_from_file(path, **overrides) -> SimConfig:
-    """Read a flat ``key=value`` config file; keyword overrides win.
+def config_from_file(path) -> SimConfig:
+    """Read a flat ``key=value`` config file.
 
     Lines starting with ``#`` and blank lines are ignored.  Unknown keys
     raise :class:`InvalidConfig`.
@@ -469,7 +469,6 @@ def config_from_file(path, **overrides) -> SimConfig:
             if line and not line.startswith("#"):
                 key, val = _parse_assignment(line)
                 values[key] = val
-    values.update(overrides)
     return SimConfig(**values)
 
 
@@ -486,17 +485,8 @@ def _parse_assignment(item):
 
 
 def _coerce(key, val):
+    # int and str fields by their annotation; every other field is a float
     if val.lower() in ("none", ""):
         return None
-    if key in ("days", "ma_order", "seed"):
-        return int(val)
-    if key in ("noise_kind", "sampling"):
-        return val
-    return float(val)
-
-
-def config_to_file(config: SimConfig, path) -> None:
-    """Write ``config`` as a flat ``key=value`` file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(SimConfig):
-            fh.write(f"{f.name}={getattr(config, f.name)}\n")
+    kind = _CONFIG_FIELDS[key].type
+    return (kind if kind in (int, str) else float)(val)

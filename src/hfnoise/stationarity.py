@@ -25,8 +25,8 @@ from scipy.stats import norm
 
 from ._accum import block_sums, csum, window_sums
 from .errors import InvalidConfig, InvalidK, InvalidWindow, NonFiniteStatistic
-from .estimators import (_increments, _row_modified_rv, default_K,
-                         noise_moments)
+from .estimators import (_check_K, _increments, _row_modified_rv,
+                         default_K, noise_moments)
 from .ticks import TickSeries
 
 
@@ -186,8 +186,7 @@ def edge_test(series: TickSeries, K: int | None = None) -> TestReport:
     n = series.n
     if K is None:
         K = default_test_K(n, "N")
-    if not 4 <= K <= n // 2:
-        raise InvalidK(f"need 4 <= K <= n/2, got K={K}, n={n}")
+    _check_K(K, n, 4, n // 2)
     nm = noise_moments(series)
     # wtsrv - tsrv without their common subsampled term: no cancellation
     num = math.sqrt(K) * ((n - K + 1) / (n * K) * _increments(series).R

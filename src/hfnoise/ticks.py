@@ -9,8 +9,9 @@ prices.  Raw-price and seconds-based CSV files are converted on load.
 C reader parses well-formed data; ``_parse_rows``, a per-line ``float()``
 loop, runs only on input the C reader refuses, such as malformed rows or
 numbers only ``float()`` reads (``1_0``).  Both round correctly, so the
-tiers agree bit for bit, and the line loop is the one source of parse
-errors and their line numbers.
+tiers agree bit for bit.  Both find the header with ``_header``, the one
+source of header errors; the line loop is the one source of row errors
+and their line numbers.
 """
 
 import io
@@ -83,19 +84,24 @@ def _check_units(time_unit, price_scale):
         raise ValueError(f"price_scale must be 'log' or 'raw', got {price_scale!r}")
 
 
+def _header(lines):
+    """Index of the first non-blank line of ``lines``, which must be the
+    ``time,price`` header; a UTF-8 byte-order mark may open line 1."""
+    for h, raw in enumerate(lines):
+        line = (raw.removeprefix("\ufeff") if h == 0 else raw).strip()
+        if line:
+            if line.replace(" ", "") != _HEADER:
+                raise MalformedRow(h + 1, f"expected header '{_HEADER}', got '{line}'")
+            return h
+    raise MalformedRow(1, "empty input, missing header")
+
+
 def _parse_rows(lines):
     rows = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno == 1:
-            raw = raw.removeprefix("\ufeff")  # UTF-8 byte-order mark
+    h = _header(lines)
+    for lineno, raw in enumerate(lines[h + 1:], start=h + 2):
         line = raw.strip()
         if not line:
-            continue
-        if not header_seen:
-            if line.replace(" ", "") != _HEADER:
-                raise MalformedRow(lineno, f"expected header '{_HEADER}', got '{line}'")
-            header_seen = True
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -106,9 +112,9 @@ def _parse_rows(lines):
         except ValueError:
             raise MalformedRow(lineno, f"non-decimal field in '{line}'") from None
         rows.append((t, p))
-    if not header_seen:
-        raise MalformedRow(1, "empty input, missing header")
-    return rows
+    if len(rows) < 2:
+        raise FewerThanTwoTicks(f"need at least 2 records, got {len(rows)}")
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_text(source):
@@ -116,21 +122,19 @@ def _read_text(source):
     itself, any other ``str`` or path names a file."""
     if isinstance(source, str) and ("\n" in source or "\r" in source):
         return source
-    if isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    if isinstance(data, str):
-        return data
     try:
-        return data.decode("utf-8")
+        if isinstance(source, bytes):
+            data = source
+        elif hasattr(source, "read"):
+            data = source.read()
+        else:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        return data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the prefix before the first bad byte decodes; "x" stands in for
         # that byte so a line break just before it still counts
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise MalformedRow(lineno, f"not UTF-8 text: {exc.reason} at byte "
                                    f"{exc.start}") from None
 
@@ -138,7 +142,8 @@ def _read_text(source):
 def _parse_fast(lines):
     """The data rows of ``lines`` as an (r, 2) float64 array, parsed by
     numpy's C reader, or None when the C reader refuses them or finds
-    fewer than 2 rows; the caller then runs ``_parse_rows``.
+    fewer than 2 rows; the caller then runs ``_parse_rows``, which raises
+    the row's error.  A missing or wrong header raises from ``_header``.
 
     Where the C reader accepts, it reads the same numbers as
     ``_parse_rows``: both skip empty lines, split at commas and round
@@ -150,16 +155,7 @@ def _parse_fast(lines):
     body holding U+001F goes to the line loop.  It emits a ``UserWarning``
     on a body without data, so such a body never reaches it.
     """
-    for h, line in enumerate(lines):
-        if h == 0:
-            line = line.removeprefix("\ufeff")  # UTF-8 byte-order mark
-        if line.strip():
-            break
-    else:
-        return None
-    if line.strip().replace(" ", "") != _HEADER:
-        return None
-    body = "\n".join(lines[h + 1:])
+    body = "\n".join(lines[_header(lines) + 1:])
     if not body or body.isspace() or "\x1f" in body:
         return None
     try:
@@ -205,10 +201,7 @@ def load_csv(source, time_unit: str = "yr", price_scale: str = "log") -> TickSer
     lines = _read_text(source).splitlines()
     rows = _parse_fast(lines)
     if rows is None:
-        parsed = _parse_rows(lines)
-        if len(parsed) < 2:
-            raise FewerThanTwoTicks(f"need at least 2 records, got {len(parsed)}")
-        rows = np.array(parsed, dtype=np.float64)
+        rows = _parse_rows(lines)
 
     times, prices = rows.T
     if not (np.isfinite(times).all() and np.isfinite(prices).all()):

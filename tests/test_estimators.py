@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hfnoise import (InvalidIndices, InvalidK, SimConfig, TickSeries,
-                     estimators, fit_blocks, liquidity_report, run_test,
-                     simulate_observed)
+                     block_estimates, estimators, fit_blocks,
+                     liquidity_report, run_test, simulate_observed)
 from hfnoise._accum import csum
 from hfnoise.estimators import (avg_rv, default_K, modified_rv, noise_moments,
                                 quarticity, realized_variance, tsrv, wtsrv)
+from hfnoise.liquidity import noise_qv
+from hfnoise.stationarity import edge_test
 
 import oracles
 from conftest import make_series, noise_series
@@ -46,21 +48,6 @@ class TestRealizedVariance:
     def test_constant(self):
         assert realized_variance(make_series([2.0] * 10)) == 0.0
 
-    def test_subgrid_matches_brute_force(self, rng):
-        prices = rng.standard_normal(101)
-        s = make_series(prices)
-        idx = list(range(0, 101, 2))
-        want = sum((prices[2 * j + 2] - prices[2 * j]) ** 2 for j in range(50))
-        assert realized_variance(s, idx) == pytest.approx(want, rel=1e-13)
-
-    def test_invalid_indices(self):
-        s = make_series([0, 1, 2, 3.0])
-        with pytest.raises(InvalidIndices):
-            realized_variance(s, [0])
-        with pytest.raises(InvalidIndices):
-            realized_variance(s, [0, 4])
-        with pytest.raises(InvalidIndices):
-            realized_variance(s, [2, 1])
 
 
 class TestQuarticity:
@@ -174,6 +161,35 @@ class TestTwoScale:
             wtsrv(s, 6)
 
 
+# Every public function that takes a step or block size K, with its
+# admissible band (lo, hi) on a series of 240 increments: the one rule
+# estimators._check_K applied with each function's bounds.  avg_rv also
+# admits K = 1, the full grid; block_estimates takes K per 64-tick block.
+K_BANDS = [
+    (avg_rv, 1, 120),
+    (modified_rv, 2, 239),
+    (tsrv, 2, 120),
+    (wtsrv, 2, 120),
+    (edge_test, 4, 120),
+    (lambda s, K: block_estimates(s, 64, K=K), 2, 32),
+    (noise_qv, 1, 80),
+    (liquidity_report, 1, 80),
+]
+
+
+@pytest.mark.parametrize("fn, lo, hi", K_BANDS,
+                         ids=["avg_rv", "modified_rv", "tsrv", "wtsrv",
+                              "edge_test", "block_estimates", "noise_qv",
+                              "liquidity_report"])
+def test_admissible_K_band(fn, lo, hi):
+    s = make_series(np.random.default_rng(7).standard_normal(241))
+    for K in (lo - 1, hi + 1):
+        with pytest.raises(InvalidK):
+            fn(s, K)
+    for K in (lo, hi):
+        fn(s, K)
+
+
 class TestDefaultK:
     def test_examples(self):
         assert default_K(1000) == 100
@@ -195,6 +211,11 @@ class TestDefaultK:
 
 
 class TestNoiseMoments:
+    def test_needs_four_increments(self):
+        with pytest.raises(InvalidIndices, match="n >= 4, got n=3"):
+            noise_moments(make_series([0.0, 1.0, 0.0, 1.0]))
+        assert noise_moments(make_series([0.0, 1.0, 0.0, 1.0, 0.0])).m2_hat == 0.5
+
     def test_constant_degenerate(self):
         nm = noise_moments(make_series([1.0] * 10))
         assert (nm.m2_hat, nm.q4_hat, nm.q2sum_hat, nm.eta_hat) == (0, 0, 0, 0)

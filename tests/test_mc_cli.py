@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hfnoise import (InvalidConfig, SimConfig, StudySpec, TickSeries, cli,
-                     load_csv, mc, write_csv)
+from hfnoise import (InvalidConfig, SimConfig, StudySpec, TickSeries,
+                     block_estimates, cli, load_csv, mc, write_csv)
 from hfnoise.cli import main
 from hfnoise.mc import (ROC_LEVELS, density_table, roc_points, run_paired_roc,
                         run_study, scenario_config)
@@ -123,6 +123,11 @@ class TestAggregation:
         # power increases with the allowed level and beats the level
         assert (np.diff(roc[:, 1]) >= 0).all()
         assert roc[np.searchsorted(roc[:, 0], 0.05), 1] > 0.8
+
+    def test_paired_roc_needs_a_matched_null(self, sim_calls):
+        with pytest.raises(InvalidConfig, match="no matched null"):
+            run_paired_roc(StudySpec(reps=2, scenario="null_1d"))
+        assert sim_calls == []
 
     def test_paired_roc_uses_matched_null(self):
         spec = StudySpec(reps=3, scenario="ushape_1d", tests=("N",),
@@ -337,6 +342,32 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "beta_hat=" in out and "r_squared=" in out
+
+    @pytest.fixture
+    def two_days(self, tmp_path):
+        sim = str(tmp_path / "sim")
+        self.run("--seed", "13", "--out", sim, "simulate", "--days", "2",
+                 "--avg-dt", "5")
+        return sim + ".csv"
+
+    def test_regress_default_m_is_the_derived_block(self, two_days, capsys):
+        series = load_csv(two_days)
+        m = cli._default_block_m(series)
+        capsys.readouterr()
+        assert self.run("regress", two_days) == 0
+        derived = capsys.readouterr().out
+        assert f"pairs={series.n // m}\n" in derived
+        assert self.run("regress", two_days, "--m", str(m)) == 0
+        assert capsys.readouterr().out == derived
+
+    def test_regress_out_writes_the_block_estimates(self, two_days, tmp_path):
+        out = tmp_path / "pairs.csv"
+        assert self.run("--out", str(out), "regress", two_days,
+                        "--m", "200") == 0
+        assert out.read_text().splitlines()[0] == "t_start,sigma2_hat,g_hat"
+        got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        want = block_estimates(load_csv(two_days), 200)
+        assert got.tobytes() == want.tobytes()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = self.run("test", "--input", str(tmp_path / "nope.csv"))

@@ -28,6 +28,11 @@ class TestOls:
         with pytest.raises(DegenerateDesign):
             ols(pairs)
 
+    def test_pairs_need_three_columns(self):
+        pairs = pairs_on_line([1.0, 2.0, 5.0, 7.0], 2.0, 1.0)[:, 1:]
+        with pytest.raises(DegenerateDesign, match="rows of"):
+            ols(pairs)
+
     def test_too_few_pairs(self):
         with pytest.raises(BlockTooSmall):
             ols(pairs_on_line([1.0, 2.0], 1.0, 0.0))

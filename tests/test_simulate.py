@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hfnoise import (InvalidConfig, InvalidU, SimConfig, simulate,
 from hfnoise._accum import CHUNK
 from hfnoise.simulate import (DT_YEARS, STEPS_PER_DAY, _euler_kernel,
                               _ou_kernel, _poisson_jumps, config_from_file,
-                              config_to_file, fractional_ma_coeffs,
-                              make_noise, observe, sample_times,
-                              simulate_latent, stationary_variance_draw)
+                              fractional_ma_coeffs, make_noise, observe,
+                              sample_times, simulate_latent,
+                              stationary_variance_draw)
 from hfnoise.ticks import SECONDS_PER_DAY, SECONDS_PER_YEAR
 
 import oracles
@@ -37,13 +38,16 @@ class TestConfig:
             SimConfig(lambda_x=-1)
 
     def test_config_file_roundtrip(self, tmp_path):
-        cfg = SimConfig(days=3, noise_kind="ushape", seed=99, a1=2e-4)
+        # one line per field, so every field type goes through the parser
+        cfg = SimConfig(days=3, noise_kind="ushape", seed=99, a1=2e-4,
+                        sigma2_0=0.2, g0=None)
         path = tmp_path / "sim.cfg"
-        config_to_file(cfg, path)
+        path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                                for f in fields(SimConfig)))
         back = config_from_file(path)
         assert back == cfg
-        over = config_from_file(path, days=5)
-        assert over.days == 5
+        assert [type(getattr(back, f.name)) for f in fields(SimConfig)] == [
+            type(getattr(cfg, f.name)) for f in fields(SimConfig)]
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -193,6 +197,21 @@ class TestNoise:
         assert g[0] > g[mid]
         assert g[-1] > g[mid]
         assert g[0] / g.min() == pytest.approx(2.25, rel=0.02)
+
+    def test_ushape_day_without_ticks_draws_nothing(self):
+        # ticks on days 0 and 2 only: the empty day 1 is skipped, so the
+        # noise equals that of the same ticks with day 1 cut out
+        cfg = SimConfig(noise_kind="ushape", days=3)
+        ticks = np.concatenate((np.arange(1.0, 2001.0),
+                                2 * SECONDS_PER_DAY + np.arange(1.0, 3001.0)))
+        s2 = np.repeat([0.1, 0.2, 0.3], STEPS_PER_DAY)
+        eps, g = make_noise(cfg, np.random.default_rng(5), ticks, s2)
+        cut = np.where(ticks > SECONDS_PER_DAY, ticks - SECONDS_PER_DAY, ticks)
+        want = make_noise(replace(cfg, days=2), np.random.default_rng(5), cut,
+                          np.repeat([0.1, 0.3], STEPS_PER_DAY))
+        assert eps.tobytes() == want[0].tobytes()
+        assert g.tobytes() == want[1].tobytes()
+        assert len(eps) == 5000 and (g > 0).all()
 
     def test_custom_g_tracks_level(self):
         cfg = SimConfig(noise_kind="custom_g", g0=2e-5, g_theta=2e-5,

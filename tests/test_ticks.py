@@ -105,10 +105,12 @@ class TestLoadCsv:
         ("time,price\n0,1\u2028".encode() + b"\xc3(", 3),
         ("\ufefftime,price\n".encode() + b"0,\xe9\n", 2),
     ])
-    @pytest.mark.parametrize("wrap", ["bytes", "BytesIO", "path"])
+    @pytest.mark.parametrize("wrap", ["bytes", "BytesIO", "text", "path"])
     def test_non_utf8_reports_its_line(self, tmp_path, data, line, wrap):
         if wrap == "BytesIO":
             data = io.BytesIO(data)
+        elif wrap == "text":   # a text-mode file: the caller's object decodes
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         elif wrap == "path":
             path = tmp_path / "bad.csv"
             path.write_bytes(data)
@@ -441,6 +443,11 @@ class TestValidate:
     def test_too_short(self):
         with pytest.raises(FewerThanTwoTicks):
             TickSeries(np.array([0.0]), np.array([1.0]))
+
+    def test_unequal_lengths(self):
+        with pytest.raises(MalformedRow, match="equally long") as err:
+            TickSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
+        assert err.value.line_number == 0
 
     def test_non_finite_prices(self):
         with pytest.raises(NonFiniteValue):
