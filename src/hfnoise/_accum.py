@@ -25,14 +25,16 @@ extracts each block row; :func:`window_sums` extracts the whole array
 once and takes each window from the prefix sums of both parts.
 
 Whatever the certificate rejects (a sum on a rounding tie or near one, a
-zero or subnormal result, exponents beyond +-900) goes to the second
-path, ``math.fsum`` itself, one sum, block row or window at a time.
-All-zero input returns 0.0 there without a call.
+zero or subnormal result) goes to the second path, ``math.fsum`` itself,
+one sum, block row or window at a time, in the original order.  All-zero
+input returns 0.0 there without a call.
 
-Inputs that hold inf or nan, or whose sum of magnitudes could reach
-``2**1023``, go to ``math.fsum`` directly: there the result or the
+Non-finite or out-of-range input (inf, nan, exponents beyond +-900) fails
+the certificate too, so ``math.fsum`` gives its result or raises its
 exception (``OverflowError`` on intermediate overflow, ``ValueError`` for
-``inf - inf``) depends on the summation order.
+``inf - inf``), which depend on the summation order.  The public functions
+run with numpy's invalid and overflow warnings off, as extraction computes
+``inf - inf`` on such input.
 """
 
 import math
@@ -41,9 +43,9 @@ from itertools import chain
 import numpy as np
 
 CHUNK = 1 << 14     # values per extraction pass and per fallback list
-_SAFE = 2.0 ** 1023
 _RANGE = 900        # exponents the certified path accepts, in +-
 _MARGIN = 1.0 + 2.0**-20  # covers rounding in the certificate's own test
+_quiet = np.errstate(invalid="ignore", over="ignore")
 
 
 def _floats(values) -> np.ndarray:
@@ -52,18 +54,9 @@ def _floats(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.float64)
 
 
-def _risky(x: np.ndarray, count: int) -> bool:
-    """True if ``x`` holds inf or nan, or ``count`` of its values could sum
-    to ``2**1023`` or more in magnitude."""
-    if len(x) == 0:
-        return False
-    limit = _SAFE / count
-    return not (x.max() < limit and -x.min() < limit)
-
-
 def _fsum(x: np.ndarray) -> float:
-    """``math.fsum`` of the finite, non-risky ``x``, fed as lists of
-    ``CHUNK`` values; 0.0 for all-zero ``x``."""
+    """``math.fsum`` of ``x``, fed as lists of ``CHUNK`` values; 0.0 for
+    all-zero ``x``."""
     if not x.any():
         return 0.0
     return math.fsum(chain.from_iterable(
@@ -76,12 +69,14 @@ def _extract(X: np.ndarray):
     Returns ``(q1, q2, tail, ok)``: the two extracted parts, shaped like
     ``X``, whose sums and prefix sums along a row are exact; per row, the
     bound ``tail`` on what one value leaves out of ``q1 + q2``; and
-    ``ok``, False where the row's exponent is outside the certified range.
+    ``ok``, False where the row holds inf or nan or its exponent is outside
+    the certified range.
     """
     rows, size = X.shape
     M = (size + 1).bit_length()   # ceil(log2(len + 2))
-    e = np.frexp(np.maximum(X.max(axis=1), -X.min(axis=1)))[1]
-    ok = (-_RANGE <= e) & (e <= _RANGE)
+    top = np.maximum(X.max(axis=1), -X.min(axis=1))
+    e = np.frexp(top)[1]   # 0 for inf and nan
+    ok = np.isfinite(top) & (-_RANGE <= e) & (e <= _RANGE)
     k = np.minimum(np.maximum(e, -_RANGE), _RANGE) + M
     sigma = np.ldexp(1.0, k)
     if rows > 1:   # numpy adds a broadcast column slowly, a full array fast
@@ -111,8 +106,8 @@ def _certified(hi, err, bound):
 
 
 def _sum(x: np.ndarray) -> float:
-    """Exactly rounded sum of the finite, non-risky ``x``: the certified
-    path over slices of ``CHUNK`` values, else :func:`_fsum`."""
+    """Exactly rounded sum of ``x``: the certified path over slices of
+    ``CHUNK`` values, else :func:`_fsum`."""
     parts, bounds = [], []
     for i in range(0, len(x), CHUNK):
         q1, q2, tail, ok = _extract(x[None, i:i + CHUNK])
@@ -126,15 +121,14 @@ def _sum(x: np.ndarray) -> float:
     return _fsum(x)
 
 
+@_quiet
 def csum(values) -> float:
     """Exactly rounded sum of a 1-d array or iterable of floats,
     bit-identical to ``math.fsum``."""
-    x = _floats(values)
-    if _risky(x, len(x)):
-        return math.fsum(x.tolist())
-    return _sum(x)
+    return _sum(_floats(values))
 
 
+@_quiet
 def block_sums(values: np.ndarray, size: int) -> np.ndarray:
     """Exactly rounded sums of consecutive length-``size`` slices, each
     bit-identical to ``math.fsum`` of the slice.
@@ -144,11 +138,6 @@ def block_sums(values: np.ndarray, size: int) -> np.ndarray:
     x = _floats(values)
     r = len(x) // size
     x = x[:r * size]
-    if _risky(x, size):
-        return np.array([math.fsum(x[i * size:(i + 1) * size].tolist())
-                         for i in range(r)])
-    if r == 0:
-        return np.zeros(0)
     if size > CHUNK:
         return np.array([_sum(x[i * size:(i + 1) * size])
                          for i in range(r)])
@@ -166,6 +155,7 @@ def block_sums(values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+@_quiet
 def window_sums(values, width: int) -> np.ndarray:
     """Exactly rounded sums of every run of ``width`` consecutive values,
     ``len(values) - width + 1`` of them, each bit-identical to
@@ -178,9 +168,6 @@ def window_sums(values, width: int) -> np.ndarray:
     cnt = len(x) - width + 1
     if width < 1 or cnt < 1:
         return np.zeros(0)
-    if _risky(x, width):
-        return np.array([math.fsum(x[i:i + width].tolist())
-                         for i in range(cnt)])
     q1, q2, tail, ok = _extract(x[None])
     S1, S2 = (np.concatenate(([0.0], np.cumsum(q[0]))) for q in (q1, q2))
     out, err = _two_sum(S1[width:] - S1[:cnt], S2[width:] - S2[:cnt])

@@ -84,9 +84,12 @@ def noise_qv_stderr(series: TickSeries, K: int, span: int):
 
     Raises
     ------
+    InvalidK
+        If ``K < 1`` or fewer than 3 blocks fit.
     InvalidWindow
         If ``span < 1`` or fewer than ``span + 1`` blocks fit.
     """
+    _check_K(K, series.n, 1, series.n // 3)
     _check_span(series.n, K, span)
     inc = _increments(series)
     rv_b = inc.block_sums(K)

@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.signal import lfilter
 
-from ._accum import CHUNK, csum
+from ._accum import CHUNK, block_sums, csum
 from .errors import InvalidConfig, InvalidU
 from .ticks import DAYS_PER_YEAR, SECONDS_PER_DAY, SECONDS_PER_YEAR, TickSeries
 
@@ -268,10 +267,7 @@ def simulate_latent(config: SimConfig, rng: np.random.Generator):
                           config.vol_floor, zw, zb, jump_x, jump_v)
 
     left = s2[:-1]
-    iv_per_day = np.array([
-        csum(left[d * STEPS_PER_DAY:(d + 1) * STEPS_PER_DAY]) * DT_YEARS
-        for d in range(config.days)
-    ])
+    iv_per_day = block_sums(left, STEPS_PER_DAY) * DT_YEARS
     info = {
         "iv": float(iv_per_day.sum()),
         "iq": csum(left * left) * DT_YEARS,
@@ -377,7 +373,7 @@ def make_noise(config: SimConfig, rng: np.random.Generator,
             s2_day = sigma2_fine[d * STEPS_PER_DAY:(d + 1) * STEPS_PER_DAY]
             omega2 = config.a1 * math.sqrt(float(np.mean(s2_day**2)))
             z = math.sqrt(omega2) * rng.standard_normal(nd + config.ma_order)
-            e = lfilter(b, [1.0], z)[config.ma_order:]
+            e = np.convolve(b, z)[config.ma_order:len(z)]
             w = _ushape_weights(nd)
             eps[sel] = np.sqrt(w) * e
             g[sel] = w * omega2 * inflation
@@ -485,8 +481,14 @@ def _parse_assignment(item):
 
 
 def _coerce(key, val):
-    # int and str fields by their annotation; every other field is a float
-    if val.lower() in ("none", ""):
+    # int and str fields by their annotation; every other field is a float,
+    # and "none" or "" is None where the default is None
+    field = _CONFIG_FIELDS[key]
+    if field.default is None and val.lower() in ("none", ""):
         return None
-    kind = _CONFIG_FIELDS[key].type
-    return (kind if kind in (int, str) else float)(val)
+    kind = field.type if field.type in (int, str) else float
+    try:
+        return kind(val)
+    except ValueError:
+        raise InvalidConfig(f"cannot read {key}={val!r} as "
+                            f"{kind.__name__}") from None

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from ._accum import block_sums, csum, window_sums
 from .errors import InvalidConfig, InvalidK, InvalidWindow, NonFiniteStatistic
@@ -55,7 +55,7 @@ def p_value(statistic: float) -> float:
         If ``statistic`` is NaN or infinite.
     """
     _check_finite(statistic)
-    return float(norm.sf(statistic))
+    return float(ndtr(-statistic))
 
 
 def log_p_value(statistic: float) -> float:
@@ -69,7 +69,7 @@ def log_p_value(statistic: float) -> float:
         If ``statistic`` is NaN or infinite.
     """
     _check_finite(statistic)
-    return float(norm.logsf(statistic))
+    return float(log_ndtr(-statistic))
 
 
 def _check_finite(statistic: float):

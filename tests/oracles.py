@@ -10,11 +10,22 @@ kernel over shared squared increments; ``hfnoise.regress.block_estimates``
 must match them bit for bit.  ``euler_kernel`` and ``ou_kernel`` are the
 simulator's path recursions as one scalar step per array element; the
 sliced kernels in ``hfnoise.simulate`` must match them bit for bit.
+``norm_sf``/``norm_logsf`` are the p-values through ``scipy.stats.norm``
+and ``ushape_noise`` is the ushape noise draw through
+``scipy.signal.lfilter``, the wrappers the package no longer imports;
+``p_value``, ``log_p_value`` and ``make_noise`` must match them bit for
+bit.
 """
 
 import math
 
 import numpy as np
+from scipy.signal import lfilter
+from scipy.stats import norm
+
+from hfnoise.simulate import (STEPS_PER_DAY, _ushape_weights,
+                              fractional_ma_coeffs)
+from hfnoise.ticks import SECONDS_PER_DAY
 
 
 def fsum_block_sums(values, size):
@@ -160,3 +171,34 @@ def ou_kernel(g0, kappa, theta, vol, floor, dts, z):
             v = 2.0 * floor - v
         g[i + 1] = v
     return g
+
+
+def norm_sf(statistic):
+    return float(norm.sf(statistic))
+
+
+def norm_logsf(statistic):
+    return float(norm.logsf(statistic))
+
+
+def ushape_noise(config, rng, ticks_sec, sigma2_fine):
+    """``make_noise`` for ``noise_kind="ushape"``, with the moving average
+    of each day's draws taken by ``lfilter``."""
+    psi = fractional_ma_coeffs(config.ma_exponent, config.ma_order)
+    inflation = 1.0 + float(np.sum(psi * psi))
+    b = np.concatenate(([1.0], psi))
+    day_idx = np.minimum((ticks_sec / SECONDS_PER_DAY).astype(np.int64),
+                         config.days - 1)
+    eps = np.empty(len(ticks_sec))
+    g = np.empty(len(ticks_sec))
+    for d in range(config.days):
+        sel = np.nonzero(day_idx == d)[0]
+        if len(sel) == 0:
+            continue
+        s2_day = sigma2_fine[d * STEPS_PER_DAY:(d + 1) * STEPS_PER_DAY]
+        omega2 = config.a1 * math.sqrt(float(np.mean(s2_day**2)))
+        z = math.sqrt(omega2) * rng.standard_normal(len(sel) + config.ma_order)
+        w = _ushape_weights(len(sel))
+        eps[sel] = np.sqrt(w) * lfilter(b, [1.0], z)[config.ma_order:]
+        g[sel] = w * omega2 * inflation
+    return eps, g

@@ -1,9 +1,13 @@
 """The package namespace covers its documented users: every name the
 README quick start and the demos import from ``hfnoise``, and every
-``hf.<name>`` the benchmark harness reads, resolves on the package."""
+``hf.<name>`` the benchmark harness reads, resolves on the package; and
+importing it loads no more of scipy than ``scipy.special``."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,16 @@ def test_readme_quick_start_runs(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert "vs true" in out[0] and "TestReport(" in out[1]
+
+
+def test_import_leaves_out_scipy_stats_and_signal():
+    # the package needs only scipy.special; scipy.stats alone takes most of
+    # a second to import
+    src = str(Path(hfnoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hfnoise, hfnoise.cli; print([m for m in "
+            "('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

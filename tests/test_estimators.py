@@ -9,7 +9,7 @@ from hfnoise import (InvalidIndices, InvalidK, SimConfig, TickSeries,
 from hfnoise._accum import csum
 from hfnoise.estimators import (avg_rv, default_K, modified_rv, noise_moments,
                                 quarticity, realized_variance, tsrv, wtsrv)
-from hfnoise.liquidity import noise_qv
+from hfnoise.liquidity import noise_qv, noise_qv_stderr
 from hfnoise.stationarity import edge_test
 
 import oracles
@@ -174,13 +174,14 @@ K_BANDS = [
     (lambda s, K: block_estimates(s, 64, K=K), 2, 32),
     (noise_qv, 1, 80),
     (liquidity_report, 1, 80),
+    (lambda s, K: noise_qv_stderr(s, K, 1), 1, 80),
 ]
 
 
 @pytest.mark.parametrize("fn, lo, hi", K_BANDS,
                          ids=["avg_rv", "modified_rv", "tsrv", "wtsrv",
                               "edge_test", "block_estimates", "noise_qv",
-                              "liquidity_report"])
+                              "liquidity_report", "noise_qv_stderr"])
 def test_admissible_K_band(fn, lo, hi):
     s = make_series(np.random.default_rng(7).standard_normal(241))
     for K in (lo - 1, hi + 1):

@@ -327,6 +327,25 @@ class TestCli:
         with pytest.raises(InvalidConfig):
             config_from_file(path)
 
+    @pytest.mark.parametrize("line", ["days=none", "seed=1.5", "mu=fast"])
+    def test_unreadable_value_exits_1(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        for argv in (["--set", line], ["--config", str(path)]):
+            code = self.run("--out", str(tmp_path / "sim"), "simulate", *argv)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: InvalidConfig: ")
+            assert err.count("\n") == 1 and line.split("=")[0] in err
+
+    def test_none_only_where_the_default_is_none(self):
+        assert cli._build_config(cli._parser().parse_args(
+            ["simulate", "--set", "sigma2_0=none", "--set", "g0="])) \
+            == SimConfig()
+        with pytest.raises(InvalidConfig):
+            cli._build_config(
+                cli._parser().parse_args(["simulate", "--set", "seed=none"]))
+
     def test_liquidity_command(self, tmp_path, capsys):
         sim = str(tmp_path / "sim")
         self.run("--seed", "9", "--out", sim, "simulate", "--avg-dt", "5")

@@ -213,6 +213,23 @@ class TestNoise:
         assert g.tobytes() == want[1].tobytes()
         assert len(eps) == 5000 and (g > 0).all()
 
+    @pytest.mark.parametrize("ma_order", (0, 1, 10))
+    @pytest.mark.parametrize("days", (1, 2))
+    @pytest.mark.parametrize("sampling", ("regular", "poisson"))
+    def test_ushape_matches_lfilter_oracle(self, ma_order, days, sampling):
+        cfg = SimConfig(noise_kind="ushape", ma_order=ma_order, days=days,
+                        sampling=sampling, avg_dt_seconds=2.0)
+        rng = np.random.default_rng(ma_order + 10 * days)
+        ticks = np.concatenate([d * SECONDS_PER_DAY
+                                + sample_times(cfg, rng, d)
+                                for d in range(days)])
+        s2 = rng.uniform(0.05, 0.3, days * STEPS_PER_DAY)
+        eps, g = make_noise(cfg, np.random.default_rng(3), ticks, s2)
+        want_eps, want_g = oracles.ushape_noise(cfg, np.random.default_rng(3),
+                                                ticks, s2)
+        assert eps.tobytes() == want_eps.tobytes()
+        assert g.tobytes() == want_g.tobytes()
+
     def test_custom_g_tracks_level(self):
         cfg = SimConfig(noise_kind="custom_g", g0=2e-5, g_theta=2e-5,
                         g_kappa=50.0, g_vol=1e-4, g_floor=1e-7)

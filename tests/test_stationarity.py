@@ -41,6 +41,17 @@ class TestPValue:
             assert log_p_value(z) == pytest.approx(approx, rel=1e-3)
         assert log_p_value(1.5) == pytest.approx(math.log(p_value(1.5)))
 
+    def test_matches_scipy_stats_norm(self):
+        # bit for bit against norm.sf / norm.logsf, past p_value's underflow
+        grid = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 37.5, 38.5, 40.0,
+                -40.0, 600.0, -600.0]
+        grid += np.random.default_rng(12).standard_normal(10_000).tolist()
+        for fn, oracle in ((p_value, oracles.norm_sf),
+                           (log_p_value, oracles.norm_logsf)):
+            got = np.array([fn(z) for z in grid])
+            want = np.array([oracle(z) for z in grid])
+            assert got.tobytes() == want.tobytes(), fn.__name__
+
     def test_report_carries_log_p(self):
         rep = edge_test(noise_series(4000, seed=3))
         assert rep.log_p == pytest.approx(math.log(rep.p_value), abs=1e-12)
